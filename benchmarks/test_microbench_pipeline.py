@@ -1,7 +1,8 @@
 """End-to-end packet-path microbench: emit → dispatch → capture.
 
 Times the columnar ``PacketBatch`` pipeline against the retained per-packet
-reference at ``volume_scale=1e-2`` (the scale the longitudinal sweeps need),
+reference (``PaperScenario.run_agent_day_reference``, selected by patching
+``run_agent_day``) at ``volume_scale=1e-2`` (the scale the longitudinal sweeps need),
 plus a 30-day ``run_scenario`` wall-clock comparison.  Both measurements are
 written to ``results/BENCH_pipeline.json`` so the perf trajectory has data
 points PR-over-PR.
@@ -11,9 +12,11 @@ under ``--benchmark-disable`` — same idiom as
 ``test_scan_detection_speedup`` in the core microbench.
 """
 
+import contextlib
 import json
 import pathlib
 import time
+from unittest import mock
 
 import pytest
 
@@ -33,40 +36,49 @@ SCENARIO_DAYS = 30
 SCENARIO_SCALE = 1e-3
 
 
-def _config(use_batch, days, scale, n_tail):
+def _config(days, scale, n_tail):
     return ScenarioConfig(
         seed=29, duration_days=days, volume_scale=scale, n_tail=n_tail,
         phase1_day=4, phase2_day=7, phase3_day=10, specific_start_day=12,
-        use_batch_path=use_batch,
     )
 
 
-def _measure_pipeline(use_batch):
+def _packet_path(columnar):
+    """The columnar path as is, or the per-packet reference patched in."""
+    if columnar:
+        return contextlib.nullcontext()
+    return mock.patch.object(PaperScenario, "run_agent_day",
+                             PaperScenario.run_agent_day_reference)
+
+
+def _measure_pipeline(columnar):
     """Run the warmup days untimed, then time the steady-state window."""
     scenario = PaperScenario(_config(
-        use_batch, WARMUP_DAYS + MEASURE_DAYS, PIPELINE_SCALE, n_tail=20,
+        WARMUP_DAYS + MEASURE_DAYS, PIPELINE_SCALE, n_tail=20,
     ))
-    for day in range(WARMUP_DAYS):
-        scenario.run_day(day)
-    t0 = time.perf_counter()
-    emitted = sum(scenario.run_day(WARMUP_DAYS + day)
-                  for day in range(MEASURE_DAYS))
+    with _packet_path(columnar):
+        for day in range(WARMUP_DAYS):
+            scenario.run_day(day)
+        t0 = time.perf_counter()
+        emitted = sum(scenario.run_day(WARMUP_DAYS + day)
+                      for day in range(MEASURE_DAYS))
     return time.perf_counter() - t0, emitted
 
 
-def _measure_scenario(use_batch):
-    config = _config(use_batch, SCENARIO_DAYS, SCENARIO_SCALE, n_tail=40)
-    t0 = time.perf_counter()
-    result = run_scenario(config)
+def _measure_scenario(columnar):
+    config = _config(SCENARIO_DAYS, SCENARIO_SCALE, n_tail=40)
+    with _packet_path(columnar):
+        t0 = time.perf_counter()
+        result = run_scenario(config)
     return time.perf_counter() - t0, len(result.nta)
 
 
 @pytest.fixture(scope="module")
 def bench():
-    scalar_s, scalar_packets = _measure_pipeline(use_batch=False)
-    batch_s, batch_packets = _measure_pipeline(use_batch=True)
-    scen_scalar_s, scen_scalar_nta = _measure_scenario(use_batch=False)
-    scen_batch_s, scen_batch_nta = _measure_scenario(use_batch=True)
+    scalar_s, scalar_packets = _measure_pipeline(columnar=False)
+    batch_s, batch_packets = _measure_pipeline(columnar=True)
+    scen_scalar_s, scen_scalar_nta = _measure_scenario(columnar=False)
+    scen_batch_s, scen_batch_nta = _measure_scenario(columnar=True)
     data = {
         "pipeline": {
             "volume_scale": PIPELINE_SCALE,

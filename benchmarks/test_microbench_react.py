@@ -4,20 +4,25 @@ Times only the reaction half of ``ProactiveTelescope.handle_batch`` — the
 ``telescope.react`` stage timer — over a 30-day scenario whose traffic is
 honeypot-heavy (the aliased prefix and both T-Pot prefixes are deployed
 from day 2, so a large share of NT-A rows reaches Twinklenet or a DNAT
-gateway).  Both runs use the batch emit→dispatch→capture pipeline; only
-``use_batch_react`` differs, so the ratio isolates the reply kernels.
+gateway).  Both runs use the batch emit→dispatch→capture pipeline; the
+scalar run patches the ``ProactiveTelescope._react_*_slice`` methods with
+their retained ``*_reference`` counterparts, so the ratio isolates the
+reply kernels.
 
 Results land in ``results/BENCH_react.json``.  Manual timing (no
 ``benchmark`` fixture) so the numbers are produced even under
 ``--benchmark-disable`` — same idiom as the pipeline microbench.
 """
 
+import contextlib
 import json
 import pathlib
 import time
+from unittest import mock
 
 import pytest
 
+from repro.core.proactive import ProactiveTelescope
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim.scenario import PaperScenario, ScenarioConfig
 
@@ -27,21 +32,33 @@ DAYS = 30
 VOLUME_SCALE = 1e-2
 
 
-def _config(use_batch_react):
+def _config():
     return ScenarioConfig(
         seed=31, duration_days=DAYS, volume_scale=VOLUME_SCALE, n_tail=20,
         phase1_day=2, phase2_day=4, phase3_day=6, specific_start_day=8,
         tpot_hitlist_offset_days=3, tpot_tls_offset_days=5,
-        use_batch_path=True, use_batch_react=use_batch_react,
     )
 
 
-def _measure(use_batch_react):
+def _react_path(columnar):
+    """The columnar kernels as is, or the per-packet references patched
+    in."""
+    if columnar:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(
+        ProactiveTelescope,
+        _react_tpot_slice=ProactiveTelescope._react_tpot_slice_reference,
+        _react_twinklenet_slice=(
+            ProactiveTelescope._react_twinklenet_slice_reference),
+    )
+
+
+def _measure(columnar):
     """Run the scenario under a private registry; return the react stage's
     accumulated wall clock plus honeypot rx/tx tallies."""
     registry = MetricsRegistry()
-    with use_registry(registry):
-        scenario = PaperScenario(_config(use_batch_react))
+    with use_registry(registry), _react_path(columnar):
+        scenario = PaperScenario(_config())
         t0 = time.perf_counter()
         for day in range(DAYS):
             scenario.run_day(day)
@@ -59,8 +76,8 @@ def _measure(use_batch_react):
 
 @pytest.fixture(scope="module")
 def bench():
-    scalar = _measure(use_batch_react=False)
-    batch = _measure(use_batch_react=True)
+    scalar = _measure(columnar=False)
+    batch = _measure(columnar=True)
     data = {
         "config": {"days": DAYS, "volume_scale": VOLUME_SCALE},
         "honeypot_rx": scalar["honeypot_rx"],

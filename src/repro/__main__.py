@@ -34,9 +34,8 @@ invocation):
   picks up from the last checkpoint instead of starting at day zero.
 
 ``run`` additionally takes ``--jobs N`` (shard the day loop's agents
-across ``N`` worker processes) and ``--pipeline`` (overlap emission and
-dispatch on a second thread); both produce byte-identical results to a
-serial run.  ``experiment`` takes ``--jobs N`` to render report sections
+across ``N`` worker processes), which produces byte-identical results to
+a serial run.  ``experiment`` takes ``--jobs N`` to render report sections
 in ``N`` worker processes (the report bytes do not depend on N).
 """
 
@@ -137,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="shard the day loop's agents across N worker "
                             "processes (results are identical for every N)")
-    run_p.add_argument("--pipeline", action="store_true",
-                       help="overlap packet emission and dispatch on a "
-                            "second thread (serial mode only)")
     run_p.add_argument("--stream", action="store_true",
                        help="run scan detection incrementally during the "
                             "day loop and release each day's packets: peak "
@@ -276,7 +272,6 @@ def _scenario(args) -> object:
     return run_scenario(
         _config(args), cache_dir=_cache_dir(args),
         jobs=getattr(args, "jobs", 1) if args.command == "run" else 1,
-        pipeline=getattr(args, "pipeline", False),
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,

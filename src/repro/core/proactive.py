@@ -84,9 +84,6 @@ class ProactiveTelescope:
         self.gateways: dict[str, DnatGateway] = {}
         self._domain_counter = itertools.count(1)
         self.response_count = 0
-        #: Columnar reaction kernels on the batch path (scalar per-packet
-        #: reference paths stay available behind this switch).
-        self.use_batch_react = True
         #: Cached honeyprefix /48 key column for handle_batch; invalidated
         #: whenever a deploy adds a honeyprefix.
         self._hp_keys_hi: np.ndarray | None = None
@@ -352,15 +349,14 @@ class ProactiveTelescope:
 
     def _react_tpot_slice(self, hp: Honeyprefix, sub: PacketBatch) -> None:
         """Route one honeyprefix's slice through its DNAT gateway."""
-        if self.use_batch_react:
-            self.gateways[hp.name].handle_batch(sub)
-        else:
-            self._react_tpot_slice_reference(hp, sub)
+        self.gateways[hp.name].handle_batch(sub)
 
     def _react_tpot_slice_reference(self, hp: Honeyprefix,
                                     sub: PacketBatch) -> None:
-        """Per-packet reference: materialize only rows the T-Pot surface
-        can answer, bulk-account the rest."""
+        """Per-packet reference for :meth:`_react_tpot_slice` (tests and
+        the reply-path microbench select it by patching the method):
+        materialize only rows the T-Pot surface can answer, bulk-account
+        the rest."""
         gateway = self.gateways[hp.name]
         in_pref = sub.mask_dst_in(gateway.prefix)
         need = in_pref & (sub.proto == np.uint8(ICMPV6))
@@ -378,16 +374,15 @@ class ProactiveTelescope:
     def _react_twinklenet_slice(self, hp: Honeyprefix,
                                 sub: PacketBatch) -> None:
         """Route one honeyprefix's slice through Twinklenet."""
-        if self.use_batch_react:
-            self.twinklenet.handle_batch(sub, owner_hint=hp)
-        else:
-            self._react_twinklenet_slice_reference(hp, sub)
+        self.twinklenet.handle_batch(sub, owner_hint=hp)
 
     def _react_twinklenet_slice_reference(self, hp: Honeyprefix,
                                           sub: PacketBatch) -> None:
-        """Per-packet reference: TCP rows always materialize (session table
-        + eviction sweeps need every in-prefix segment); ICMP/UDP rows
-        materialize only when the responsiveness map can answer them.
+        """Per-packet reference for :meth:`_react_twinklenet_slice` (tests
+        and the reply-path microbench select it by patching the method):
+        TCP rows always materialize (session table + eviction sweeps need
+        every in-prefix segment); ICMP/UDP rows materialize only when the
+        responsiveness map can answer them.
         """
         in_pref = sub.mask_dst_in(hp.prefix)
         need = in_pref & (sub.proto == np.uint8(TCP))

@@ -25,7 +25,7 @@ verification.
 Lifecycle management (the scenario service's warm tier builds on it):
 
 * **size accounting** — :meth:`ScenarioCache.entries` lists every entry
-  with its on-disk byte size and last-use time; :meth:`total_bytes` walks
+  (and nothing else sharing the root) with its on-disk byte size and last-use time; :meth:`total_bytes` walks
   the whole cache root (stray temp dirs and the pin file included) so it
   matches ``du --apparent-size`` of the directory exactly;
 * **LRU eviction** — constructing with ``max_bytes`` sets a byte budget;
@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -80,6 +81,10 @@ def _manifest_digest(manifest: dict) -> str:
 
 #: Name of the root-level file recording pinned entry keys.
 PINS_FILE = "pins.json"
+
+#: An entry directory's name, as :meth:`ScenarioCache.key` builds it:
+#: ``<repro version>-<16 hex digit config hash>``.
+_ENTRY_NAME = re.compile(r".+-[0-9a-f]{16}")
 
 
 @dataclass(frozen=True)
@@ -302,13 +307,19 @@ class ScenarioCache:
         return _tree_bytes(self.root)
 
     def entries(self) -> list[CacheEntryInfo]:
-        """Accounting rows for every entry directory, LRU first."""
+        """Accounting rows for every entry directory, LRU first.
+
+        Only directories named like an entry key count: the service's
+        ``journals/`` directory and a concurrent store's in-flight
+        ``<key>.tmp-*`` directory share the root but are not entries, so
+        eviction never removes them.
+        """
         if not self.root.is_dir():
             return []
         pinned = self.pinned()
         rows = []
         for child in self.root.iterdir():
-            if not child.is_dir():
+            if not (_ENTRY_NAME.fullmatch(child.name) and child.is_dir()):
                 continue
             try:
                 last_used = child.stat().st_mtime

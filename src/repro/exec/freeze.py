@@ -54,7 +54,7 @@ class FrozenScenario:
     #: one (e.g. to refuse re-running it).
     frozen = True
 
-    def run(self, progress: bool = False) -> None:
+    def run(self) -> None:
         raise RuntimeError(
             "a frozen scenario carries results only and cannot be re-run; "
             "rebuild a PaperScenario from its config instead"
@@ -123,7 +123,7 @@ class ScenarioCheckpoint:
     next_day: int
     #: ``(nta, ntb, ntc, live_dropped, unrouted)`` dispatch totals.
     counters: tuple
-    #: telescope key -> (analysis chunks, truth chunks), in arrival order.
+    #: telescope name -> (analysis chunks, truth chunks), in arrival order.
     captures: dict
     #: Every journal record emitted since the run started, as
     #: ``(record_type, fields)`` pairs — replayed verbatim on resume so
@@ -139,14 +139,6 @@ class ScenarioCheckpoint:
     #: (seen-source sets, cumulative event counts, honeyprefix first
     #: contacts) at the boundary.  Same mode-pairing rule as streaming.
     observatory: object | None = None
-
-
-def _capturers(scenario) -> dict:
-    return {
-        "nta": scenario.telescope.capturer,
-        "ntb": scenario.ntb_capturer,
-        "ntc": scenario.ntc_capturer,
-    }
 
 
 def checkpoint_path(directory, config) -> Path:
@@ -174,7 +166,7 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
         counters=(c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted),
         captures={
             key: cap.chunks_since((0, 0))
-            for key, cap in _capturers(scenario).items()
+            for key, cap in scenario.capturers().items()
         },
         journal_records=list(journal_records),
         streaming=streaming,
@@ -227,7 +219,7 @@ def restore_checkpoint(scenario, checkpoint: ScenarioCheckpoint) -> None:
     Complements the replay fast-forward: replay re-derives the live
     engine/RNG/session state, this restores the accumulated outputs.
     """
-    for key, cap in _capturers(scenario).items():
+    for key, cap in scenario.capturers().items():
         chunks, truth_chunks = checkpoint.captures[key]
         cap.extend_chunks(chunks, truth_chunks)
     c = scenario.counters

@@ -66,14 +66,6 @@ def _counter_tuple(counters) -> tuple:
             counters.live_dropped, counters.unrouted)
 
 
-def _scenario_capturers(scenario) -> dict:
-    return {
-        "nta": scenario.telescope.capturer,
-        "ntb": scenario.ntb_capturer,
-        "ntc": scenario.ntc_capturer,
-    }
-
-
 # -- worker side -----------------------------------------------------------
 
 def _worker_day(scenario, recorder, caps, day: int, shard_index: int,
@@ -132,7 +124,7 @@ def _worker_main(conn, config, shard_index: int, shard_count: int,
                     scenario.replay_day(day, shard_index=shard_index,
                                         shard_count=shard_count)
         recorder.clear()
-        caps = _scenario_capturers(scenario)
+        caps = scenario.capturers()
         conn.send(("ready", shard_index))
         while True:
             message = conn.recv()
@@ -247,7 +239,7 @@ def merge_day(scenario, journal, day: int, parent_records,
     for _tag, _agent, _i, rtype, fields in engine_phase:
         journal.emit(rtype, **fields)
 
-    caps = _scenario_capturers(scenario)
+    caps = scenario.capturers()
     entries = sorted(
         (entry for payload in worker_payloads for entry in payload["agents"]),
         key=lambda entry: entry[0],
@@ -274,24 +266,29 @@ def merge_day(scenario, journal, day: int, parent_records,
 
 
 def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
-                     duration: int, window_days: int,
-                     progress: bool = False, on_day_end=None,
-                     on_window_end=None) -> None:
+                     duration: int, window_days: int, on_day_end) -> None:
     """Drive the day loop across the pool in day windows.
 
     For each window the parent first posts the work, then advances its
     own engine through the same days (buffering its deploy/retract
     records with event ordinals) while the workers emit and dispatch —
     the overlap that makes sharding pay — and finally merges.
-    ``on_day_end(day)`` runs after each day's merge (the runner feeds the
-    streaming analyzers there — at that point the parent capturers hold
-    exactly that day's rows); ``on_window_end(next_day)`` runs after each
-    merged window (checkpoint saves and the abort-for-testing path).
+    ``on_day_end(day, emitted)`` runs after each day's merge, when the parent
+    capturers and counters hold exactly the state a serial run has after
+    that day.
+
+    Windows end on multiples of ``window_days`` (or at ``duration``): a
+    run resumed between two boundaries first runs a short window up to
+    the next one.  The parent engine is then never ahead of a boundary
+    day when ``on_day_end`` sees it, so a checkpoint taken there is the
+    one a serial run would take.
     """
     journal = get_journal()
     window_days = max(1, int(window_days))
-    for window_start in range(start_day, duration, window_days):
-        window_end = min(window_start + window_days, duration)
+    window_start = start_day
+    while window_start < duration:
+        window_end = min((window_start // window_days + 1) * window_days,
+                         duration)
         pool.send_window(window_start, window_end)
         parent_days = []
         for day in range(window_start, window_end):
@@ -308,11 +305,5 @@ def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
                 scenario, journal, day, parent_days[offset],
                 [per_worker[offset] for per_worker in worker_days],
             )
-            if progress and day % 10 == 0:
-                counters = scenario.counters
-                print(f"day {day}: {emitted} packets "
-                      f"(NT-A {counters.nta}, NT-C {counters.ntc})")
-            if on_day_end is not None:
-                on_day_end(day)
-        if on_window_end is not None:
-            on_window_end(window_end)
+            on_day_end(day, emitted)
+        window_start = window_end

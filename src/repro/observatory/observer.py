@@ -25,8 +25,8 @@ the stream and the on-disk files interchangeable.
 
 Reproducibility contract (same as the run journal's): records contain
 simulation-time values only — never wall clock, hostnames, or paths — so
-the per-day files are byte-identical across serial, ``--jobs N``,
-``--pipeline``, and killed-and-resumed executions of one config.  On
+the per-day files are byte-identical across serial, ``--jobs N``, and
+killed-and-resumed executions of one config.  On
 resume the observatory restores its cursor state (seen-source sets,
 cumulative event counts, first-contact times) from the scenario
 checkpoint and rewrites the ``observations.jsonl`` prefix from the

@@ -160,7 +160,6 @@ def run_scenario(
     cache_dir=None,
     *,
     jobs: int = 1,
-    pipeline: bool = False,
     checkpoint_dir=None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     resume: bool = False,
@@ -192,18 +191,18 @@ def run_scenario(
     — the non-negotiable determinism contract):
 
     * ``jobs > 1`` shards the day loop across that many replicated worker
-      processes (:mod:`repro.exec.shard`); requires the batch path.
-    * ``pipeline=True`` overlaps emission with dispatch on a second
-      thread (:class:`repro.sim.pipeline.DispatchPipeline`); serial-mode
-      only — the sharded path ignores it (workers already overlap).
+      processes (:mod:`repro.exec.shard`), in day windows that end on
+      multiples of ``checkpoint_every``.
     * ``checkpoint_dir`` saves a resumable engine-state checkpoint every
       ``checkpoint_every`` days; with ``resume=True`` a usable checkpoint
       is loaded, the covered days are fast-forwarded without re-emitting
       a single packet, and the journal records emitted before the
-      checkpoint are replayed verbatim into the active journal.
+      checkpoint are replayed verbatim into the active journal.  The
+      cadence may differ between the killed and the resumed run.
     * ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
-      has completed (sharded runs: once N's window has merged) — the test
-      hook for kill/resume equivalence.
+      has completed and its per-day sinks (stream feed, observatory,
+      checkpoint) have run, in either mode — the test hook for
+      kill/resume equivalence.
 
     Memory-bounded modes (each changes what is held, never what is
     computed):
@@ -231,12 +230,10 @@ def run_scenario(
     rates, new-source discovery, tactic mix, honeyprefix reaction
     latency) written into the directory, mirrored to
     ``observations.jsonl``, and indexed at the end.  Requires
-    ``stream_analysis=True``; composes with ``jobs``, ``pipeline``, and
+    ``stream_analysis=True``; composes with ``jobs`` and
     ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
     """
     config = config if config is not None else ScenarioConfig()
-    if jobs > 1 and not config.use_batch_path:
-        raise ValueError("sharded runs (jobs > 1) require use_batch_path")
     if observe_dir is not None and not stream_analysis:
         raise ValueError(
             "observe_dir requires stream_analysis=True: observer records "
@@ -348,7 +345,7 @@ def run_scenario(
                          seed=config.seed):
             scenario = _simulate(
                 config, checkpoint, start_day, progress=progress, jobs=jobs,
-                pipeline=pipeline, checkpoint_dir=checkpoint_dir,
+                checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 abort_after_day=abort_after_day, streams=streams,
                 observatory=observatory,
@@ -360,37 +357,25 @@ def run_scenario(
             with registry.timer("scenario.freeze"), \
                     tracer.span("scenario.freeze"):
                 if streams is not None:
-                    summaries = {name: streams[name].finish()
-                                 for name in ("NT-A", "NT-B", "NT-C")}
+                    summaries = {name: analyzer.finish()
+                                 for name, analyzer in streams.items()}
                     nta = ntb = ntc = PacketRecords.empty()
                     truth = {}
-                    packets = sum(s.records_in for s in summaries.values())
+                    counts = [s.records_in for s in summaries.values()]
                     if observatory is not None:
                         observatory_summary = observatory.finish()
                 else:
-                    nta = scenario.telescope.capturer.to_records()
-                    ntb = scenario.ntb_capturer.to_records()
-                    ntc = scenario.ntc_capturer.to_records()
-                    truth = {
-                        "NT-A": scenario.telescope.capturer.to_truth(),
-                        "NT-B": scenario.ntb_capturer.to_truth(),
-                        "NT-C": scenario.ntc_capturer.to_truth(),
-                    }
-                    packets = len(nta) + len(ntb) + len(ntc)
+                    caps = scenario.capturers()
+                    nta, ntb, ntc = (cap.to_records()
+                                     for cap in caps.values())
+                    truth = {name: cap.to_truth()
+                             for name, cap in caps.items()}
+                    counts = [len(nta), len(ntb), len(ntc)]
             journal.emit("run_end", days=config.duration_days,
-                         packets=packets)
+                         packets=sum(counts))
             sample_peak_rss(registry, stage="freeze")
-        if summaries is not None:
-            registry.gauge("scenario.records.nta").set(
-                summaries["NT-A"].records_in)
-            registry.gauge("scenario.records.ntb").set(
-                summaries["NT-B"].records_in)
-            registry.gauge("scenario.records.ntc").set(
-                summaries["NT-C"].records_in)
-        else:
-            registry.gauge("scenario.records.nta").set(len(nta))
-            registry.gauge("scenario.records.ntb").set(len(ntb))
-            registry.gauge("scenario.records.ntc").set(len(ntc))
+        for key, count in zip(("nta", "ntb", "ntc"), counts):
+            registry.gauge(f"scenario.records.{key}").set(count)
         result = ScenarioResult(
             scenario=scenario, nta=nta, ntb=ntb, ntc=ntc,
             telemetry=registry.snapshot() if registry.enabled else {},
@@ -410,14 +395,6 @@ def run_scenario(
             set_journal(previous_journal)
 
 
-def _scenario_capturers(scenario) -> dict:
-    return {
-        "NT-A": scenario.telescope.capturer,
-        "NT-B": scenario.ntb_capturer,
-        "NT-C": scenario.ntc_capturer,
-    }
-
-
 def _feed_streams(scenario, streams, journal, day: int,
                   observatory=None) -> None:
     """Drain each telescope's day of captures into its analyzer.
@@ -434,7 +411,7 @@ def _feed_streams(scenario, streams, journal, day: int,
     memory bound is unchanged.
     """
     drained = {} if observatory is not None else None
-    for name, cap in _scenario_capturers(scenario).items():
+    for name, cap in scenario.capturers().items():
         records = cap.drain_day_records()
         closed = streams[name].feed(records, now=(day + 1) * DAY)
         journal.emit(
@@ -448,129 +425,99 @@ def _feed_streams(scenario, streams, journal, day: int,
         observatory.observe_day(day, scenario, streams, drained)
 
 
-def _simulate(config, checkpoint, start_day, *, progress, jobs, pipeline,
+def _simulate(config, checkpoint, start_day, *, progress, jobs,
               checkpoint_dir, checkpoint_every, abort_after_day,
               streams=None, observatory=None, spill_dir=None,
               spill_budget_bytes=None):
-    """Build (or rebuild-and-fast-forward) the scenario and run its days
-    in the requested execution mode; returns the run scenario."""
+    """Build (or rebuild-and-fast-forward) the scenario and run its days,
+    serially or sharded across ``jobs`` workers; returns the run
+    scenario.
+
+    Both modes share one build and one set of per-day sinks; they differ
+    only in the day driver that produces each day's state.
+    """
     registry = get_registry()
     tracer = get_tracer()
     journal = get_journal()
     duration = config.duration_days
+    cadence = max(1, checkpoint_every)
     chash = config_hash(config)
 
-    def enable_spill(scenario):
-        if spill_dir is None:
-            return
-        for cap in _scenario_capturers(scenario).values():
-            if spill_budget_bytes is not None:
-                cap.enable_spill(spill_dir, spill_budget_bytes)
-            else:
-                cap.enable_spill(spill_dir)
-
-    def maybe_checkpoint(scenario, next_day):
-        """Save at the cadence boundary; the ``checkpoint`` record goes
-        out *before* the file is written so the checkpoint carries its own
-        record and a resumed journal replays it in place."""
-        if (checkpoint_dir is not None and next_day < duration
-                and next_day % max(1, checkpoint_every) == 0):
-            from repro.exec.freeze import capture_checkpoint, save_checkpoint
-
-            journal.emit("checkpoint", day=next_day, config_hash=chash)
-            save_checkpoint(
-                checkpoint_dir,
-                capture_checkpoint(
-                    scenario, next_day, journal.plain_records(),
-                    streaming=streams,
-                    observatory=(observatory.checkpoint_state()
-                                 if observatory is not None else None)),
-                config,
-            )
-
+    pool = None
     if jobs > 1:
-        from repro.exec.freeze import restore_checkpoint
-        from repro.exec.shard import ShardPool, run_sharded_days
+        from repro.exec.shard import ShardPool
 
         # Spawn first: worker replicas build while the parent builds.
         pool = ShardPool(config, jobs, start_day)
-        try:
-            with registry.timer("scenario.build"), \
-                    tracer.span("scenario.build"):
-                scenario = PaperScenario(config)
-                if checkpoint is not None:
-                    restore_checkpoint(scenario, checkpoint)
-                if start_day:
-                    with use_journal(None):
-                        for day in range(start_day):
-                            scenario.replay_day(day, agents=False)
-                enable_spill(scenario)
-            sample_peak_rss(registry, stage="build")
+    try:
+        with registry.timer("scenario.build"), \
+                tracer.span("scenario.build"):
+            scenario = PaperScenario(config)
+            if checkpoint is not None:
+                from repro.exec.freeze import restore_checkpoint
 
-            on_day_end = None
-            if streams is not None:
-                def on_day_end(day):
-                    _feed_streams(scenario, streams, journal, day,
-                                  observatory=observatory)
-
-            def on_window_end(next_day):
-                maybe_checkpoint(scenario, next_day)
-                if abort_after_day is not None and next_day > abort_after_day:
-                    raise SimulationAborted(
-                        f"aborted after day window ending at {next_day}")
-
-            with registry.timer("scenario.run"), \
-                    tracer.span("scenario.run", jobs=jobs):
-                run_sharded_days(
-                    scenario, pool, start_day=start_day, duration=duration,
-                    window_days=max(1, checkpoint_every), progress=progress,
-                    on_day_end=on_day_end, on_window_end=on_window_end,
-                )
-        finally:
-            pool.close()
-        return scenario
-
-    with registry.timer("scenario.build"), tracer.span("scenario.build"):
-        scenario = PaperScenario(config)
-        if checkpoint is not None:
-            from repro.exec.freeze import restore_checkpoint
-
-            restore_checkpoint(scenario, checkpoint)
-        if start_day:
+                restore_checkpoint(scenario, checkpoint)
+            # A sharded run's parent never polls: its workers replay
+            # their own agents, it advances the engine alone.
             with use_journal(None):
                 for day in range(start_day):
-                    scenario.replay_day(day)
-        enable_spill(scenario)
-    sample_peak_rss(registry, stage="build")
-    with registry.timer("scenario.run"), tracer.span("scenario.run"):
-        pipe = None
-        if pipeline:
-            from repro.sim.pipeline import DispatchPipeline
+                    scenario.replay_day(day, agents=pool is None)
+            if spill_dir is not None:
+                for cap in scenario.capturers().values():
+                    if spill_budget_bytes is not None:
+                        cap.enable_spill(spill_dir, spill_budget_bytes)
+                    else:
+                        cap.enable_spill(spill_dir)
+        sample_peak_rss(registry, stage="build")
 
-            pipe = DispatchPipeline(scenario)
-        try:
-            for day in range(start_day, duration):
-                emitted = (pipe.run_day(day) if pipe is not None
-                           else scenario.run_day(day))
-                if progress and day % 10 == 0:
-                    counters = scenario.counters
-                    print(f"day {day}: {emitted} packets "
-                          f"(NT-A {counters.nta}, NT-C {counters.ntc})")
-                next_day = day + 1
-                if pipe is not None and (streams is not None
-                                         or checkpoint_dir is not None):
-                    # Captures must be settled before they are drained
-                    # into the analyzers or snapshot into a checkpoint.
-                    pipe.drain()
-                if streams is not None:
-                    _feed_streams(scenario, streams, journal, day,
-                                  observatory=observatory)
-                maybe_checkpoint(scenario, next_day)
-                if abort_after_day is not None and day >= abort_after_day:
-                    if pipe is not None:
-                        pipe.drain()
-                    raise SimulationAborted(f"aborted after day {day}")
-        finally:
-            if pipe is not None:
-                pipe.close()
+        def end_day(day: int, emitted: int) -> None:
+            """The per-day sinks, in order: progress line, stream feed
+            (plus observatory), cadence checkpoint, abort hook.  The
+            ``checkpoint`` record goes out *before* the file is written
+            so the checkpoint carries its own record and a resumed
+            journal replays it in place."""
+            if progress and day % 10 == 0:
+                counters = scenario.counters
+                print(f"day {day}: {emitted} packets "
+                      f"(NT-A {counters.nta}, NT-C {counters.ntc})")
+            if streams is not None:
+                _feed_streams(scenario, streams, journal, day,
+                              observatory=observatory)
+            next_day = day + 1
+            if (checkpoint_dir is not None and next_day < duration
+                    and next_day % cadence == 0):
+                from repro.exec.freeze import (
+                    capture_checkpoint,
+                    save_checkpoint,
+                )
+
+                journal.emit("checkpoint", day=next_day, config_hash=chash)
+                save_checkpoint(
+                    checkpoint_dir,
+                    capture_checkpoint(
+                        scenario, next_day, journal.plain_records(),
+                        streaming=streams,
+                        observatory=(observatory.checkpoint_state()
+                                     if observatory is not None else None)),
+                    config,
+                )
+            if abort_after_day is not None and day >= abort_after_day:
+                raise SimulationAborted(f"aborted after day {day}")
+
+        with registry.timer("scenario.run"), \
+                tracer.span("scenario.run", jobs=jobs):
+            if pool is None:
+                for day in range(start_day, duration):
+                    end_day(day, scenario.run_day(day))
+            else:
+                from repro.exec.shard import run_sharded_days
+
+                # Windows end on cadence days, so every checkpoint lands
+                # on a window boundary.
+                run_sharded_days(scenario, pool, start_day=start_day,
+                                 duration=duration, window_days=cadence,
+                                 on_day_end=end_day)
+    finally:
+        if pool is not None:
+            pool.close()
     return scenario

@@ -80,14 +80,6 @@ class ScenarioConfig:
     #: (e.g. ``{"ctlog_rate": 0.0}``) — the hook ablation studies use to
     #: suppress individual scanner data channels.
     population_overrides: dict = field(default_factory=dict)
-    #: Drive the daily loop through the columnar fast path
-    #: (``emit_day_batch`` → ``dispatch_batch`` → ``capture_batch``).  Set
-    #: False to run the retained per-packet reference implementation.
-    use_batch_path: bool = True
-    #: Answer honeypot traffic through the columnar reaction kernels
-    #: (``Twinklenet.handle_batch`` / ``DnatGateway.handle_batch``).  Set
-    #: False to run the retained per-packet reference reaction.
-    use_batch_react: bool = True
 
 
 @dataclass
@@ -129,7 +121,6 @@ class PaperScenario:
             reverse_zone=self.fabric.reverse_zone,
             rng=rng_telescope,
         )
-        self.telescope.use_batch_react = cfg.use_batch_react
         self.fabric.register_oracle(self.telescope.responds)
         self.fabric.register_interaction(self.telescope.interaction_level)
         self.fabric.hitlist.add_candidate_source(self._announced_low_candidates)
@@ -488,48 +479,31 @@ class PaperScenario:
         The columnar counterpart of :meth:`dispatch`: telescope membership
         and the live-/48 exclusion are mask operations on ``dst_hi`` (every
         routed prefix here is /48 or shorter, so the low half never
-        matters), and :class:`DispatchCounters` update from mask sums.
+        matters), and :class:`DispatchCounters` update from mask sums
+        before any telescope handles its sub-batch, in fixed NT-A, NT-B,
+        NT-C order.
         """
         if len(batch) == 0:
             return
         with get_tracer().span("scenario.dispatch_batch",
                                packets=len(batch)):
-            for handler, sub in self.dispatch_parts(batch):
-                handler(sub)
-
-    def dispatch_parts(
-        self, batch: PacketBatch,
-    ) -> list[tuple]:
-        """Partition one batch into per-telescope sub-batches.
-
-        Computes every membership mask over the shared ``dst_hi`` column,
-        updates :class:`DispatchCounters` from the mask sums, and returns
-        ``(handler, sub_batch)`` pairs in fixed NT-A, NT-B, NT-C order —
-        the fan-out stage the day pipeline's dispatcher consumes.
-        Counters are settled *here*, before any handler runs, so emitted
-        accounting never depends on how (or on which thread) the parts
-        are delivered.
-        """
-        nta = batch.mask_dst_in(self.nta_covering)
-        shift = np.uint64(16)
-        hi48 = (batch.dst_hi >> shift) << shift
-        live = nta & np.isin(hi48, self._live_keys_hi)
-        nta &= ~live
-        ntb = batch.mask_dst_in(self.ntb_prefix)
-        ntc = batch.mask_dst_in(self.ntc_prefix)
-        self.counters.live_dropped += int(live.sum())
-        self.counters.nta += int(nta.sum())
-        self.counters.ntb += int(ntb.sum())
-        self.counters.ntc += int(ntc.sum())
-        self.counters.unrouted += int((~(nta | live | ntb | ntc)).sum())
-        parts = []
-        if nta.any():
-            parts.append((self.telescope.handle_batch, batch.select(nta)))
-        if ntb.any():
-            parts.append((self.ntb.handle_batch, batch.select(ntb)))
-        if ntc.any():
-            parts.append((self.ntc.handle_batch, batch.select(ntc)))
-        return parts
+            nta = batch.mask_dst_in(self.nta_covering)
+            shift = np.uint64(16)
+            hi48 = (batch.dst_hi >> shift) << shift
+            live = nta & np.isin(hi48, self._live_keys_hi)
+            nta &= ~live
+            ntb = batch.mask_dst_in(self.ntb_prefix)
+            ntc = batch.mask_dst_in(self.ntc_prefix)
+            self.counters.live_dropped += int(live.sum())
+            self.counters.nta += int(nta.sum())
+            self.counters.ntb += int(ntb.sum())
+            self.counters.ntc += int(ntc.sum())
+            self.counters.unrouted += int((~(nta | live | ntb | ntc)).sum())
+            for mask, handler in ((nta, self.telescope.handle_batch),
+                                  (ntb, self.ntb.handle_batch),
+                                  (ntc, self.ntc.handle_batch)):
+                if mask.any():
+                    handler(batch.select(mask))
 
     # -- the daily loop -------------------------------------------------------------
 
@@ -554,18 +528,27 @@ class PaperScenario:
 
     def run_agent_day(self, agent: ScannerAgent, day_start: float,
                       day_end: float) -> int:
-        """Poll, emit, and dispatch one agent's day; returns its emitted
-        count.  Reads ``self._last_poll`` (advanced once per day, after
-        every agent ran) so the poll window is identical no matter which
-        process or shard drives the agent."""
+        """Poll, emit, and dispatch one agent's day through the columnar
+        path (``emit_day_batch`` → ``dispatch_batch`` → ``capture_batch``);
+        returns its emitted count.  Reads ``self._last_poll`` (advanced
+        once per day, after every agent ran) so the poll window is
+        identical no matter which process or shard drives the agent."""
         registry = get_registry()
         agent.poll_feeds(self._last_poll, day_end)
-        if self.config.use_batch_path:
-            with registry.timer("scenario.emit"):
-                batch = agent.emit_day_batch(day_start, day_end)
-            with registry.timer("scenario.dispatch"):
-                self.dispatch_batch(batch)
-            return len(batch)
+        with registry.timer("scenario.emit"):
+            batch = agent.emit_day_batch(day_start, day_end)
+        with registry.timer("scenario.dispatch"):
+            self.dispatch_batch(batch)
+        return len(batch)
+
+    def run_agent_day_reference(self, agent: ScannerAgent, day_start: float,
+                                day_end: float) -> int:
+        """Per-packet reference for :meth:`run_agent_day` (``emit_day`` →
+        :meth:`dispatch`), retained as the oracle for the batch-equivalence
+        tests and the packet-path microbench, which select it by patching
+        the method."""
+        registry = get_registry()
+        agent.poll_feeds(self._last_poll, day_end)
         with registry.timer("scenario.emit"):
             packets = agent.emit_day(day_start, day_end)
         with registry.timer("scenario.dispatch"):
@@ -614,10 +597,16 @@ class PaperScenario:
                 agent.replay_day(day_start, day_end)
         self._last_poll = day_end
 
-    def run(self, progress: bool = False) -> None:
+    def run(self) -> None:
         """Run the whole configured window."""
         for day in range(self.config.duration_days):
-            n = self.run_day(day)
-            if progress and day % 10 == 0:
-                print(f"day {day}: {n} packets "
-                      f"(NT-A {self.counters.nta}, NT-C {self.counters.ntc})")
+            self.run_day(day)
+
+    def capturers(self) -> dict[str, PacketCapturer]:
+        """Each telescope's capturer, keyed by telescope name in fixed
+        NT-A, NT-B, NT-C order."""
+        return {
+            "NT-A": self.telescope.capturer,
+            "NT-B": self.ntb_capturer,
+            "NT-C": self.ntc_capturer,
+        }

@@ -8,6 +8,8 @@ and every comparison is exact — replies as full ``Packet`` values in
 order, session tables, NAT/interaction logs, metric snapshots.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -464,29 +466,38 @@ class TestTPotEquivalence:
 
 
 class TestScenarioReactParity:
-    """Flipping ``use_batch_react`` must not change a single byte of a
-    scenario run: records, ground truth, honeypot state and counters are
-    identical — reaction is a pure sink of the emission stream."""
+    """Swapping the columnar react kernels for their per-packet references
+    must not change a single byte of a scenario run: records, ground
+    truth, honeypot state and counters are identical — reaction is a pure
+    sink of the emission stream."""
 
     @pytest.fixture(scope="class")
     def pair(self):
+        from repro.core.proactive import ProactiveTelescope
         from repro.sim.scenario import PaperScenario, ScenarioConfig
 
-        def _run(use_batch_react):
+        def _run():
             config = ScenarioConfig(
                 seed=23, duration_days=14, volume_scale=1e-4, n_tail=20,
                 phase1_day=2, phase2_day=4, phase3_day=6,
                 specific_start_day=8, tls_offset_days=3,
                 tpot_hitlist_offset_days=5, tpot_tls_offset_days=7,
                 udp_hitlist_offset_days=2, withdraw_after_days=9,
-                use_batch_react=use_batch_react,
             )
             scenario = PaperScenario(config)
             for day in range(14):
                 scenario.run_day(day)
             return scenario
 
-        return _run(True), _run(False)
+        batch = _run()
+        with mock.patch.multiple(
+            ProactiveTelescope,
+            _react_tpot_slice=ProactiveTelescope._react_tpot_slice_reference,
+            _react_twinklenet_slice=(
+                ProactiveTelescope._react_twinklenet_slice_reference),
+        ):
+            scalar = _run()
+        return batch, scalar
 
     def test_records_identical(self, pair):
         batch, scalar = pair

@@ -163,6 +163,28 @@ class TestEviction:
         assert (tmp_path / keys[1]).is_dir()
         assert sorted(evicted) == sorted([keys[0], keys[2]])
 
+    def test_sweep_keeps_non_entry_directories(self, tmp_path, tiny_result,
+                                               monkeypatch):
+        """The service journals into ``<cache>/journals/`` and a
+        concurrent store writes into ``<key>.tmp-*``: neither is an entry,
+        so a budget sweep must leave both while still evicting entries."""
+        cache, keys = _store_three(tmp_path, tiny_result, monkeypatch)
+        journals = tmp_path / "journals"
+        journals.mkdir()
+        (journals / "run-1.jsonl").write_text('{"type": "run_manifest"}\n')
+        in_flight = tmp_path / f"{keys[0]}.tmp-abc123"
+        in_flight.mkdir()
+        (in_flight / "nta.npz").write_bytes(b"partial")
+        for path in (journals, in_flight):
+            os.utime(path, (1, 1))  # older than every entry
+        assert [row.key for row in cache.entries()] == keys
+        cache.max_bytes = 0
+        cache.pin(keys[2])
+        assert cache.evict() == [keys[0], keys[1]]
+        assert (journals / "run-1.jsonl").is_file()
+        assert (in_flight / "nta.npz").is_file()
+        assert (tmp_path / keys[2]).is_dir()
+
     def test_no_budget_means_no_eviction(self, tmp_path, tiny_result,
                                          monkeypatch):
         cache, keys = _store_three(tmp_path, tiny_result, monkeypatch)

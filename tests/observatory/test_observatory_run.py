@@ -3,9 +3,9 @@
 The reproducibility contract under test: the data directory a streaming
 observatory run writes — every per-day file, the ``observations.jsonl``
 mirror, the index, the manifest — is byte-identical across serial,
-``--jobs N``, ``--pipeline``, and killed-and-resumed executions of one
-config.  Plus the mode guards: the observer only rides a streaming run,
-and a checkpoint can only resume into the observation mode that wrote it.
+``--jobs N``, and killed-and-resumed executions of one config.  Plus the
+mode guards: the observer only rides a streaming run, and a checkpoint
+can only resume into the observation mode that wrote it.
 """
 
 from pathlib import Path
@@ -33,11 +33,6 @@ class TestByteIdentity:
     def test_jobs2_matches_serial(self, serial_observatory, tmp_path):
         golden, _ = serial_observatory
         run_observatory(tmp_path / "data", jobs=2)
-        assert _dir_bytes(tmp_path / "data") == _dir_bytes(golden)
-
-    def test_pipeline_matches_serial(self, serial_observatory, tmp_path):
-        golden, _ = serial_observatory
-        run_observatory(tmp_path / "data", pipeline=True)
         assert _dir_bytes(tmp_path / "data") == _dir_bytes(golden)
 
     def test_killed_and_resumed_matches_serial(self, serial_observatory,

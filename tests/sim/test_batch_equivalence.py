@@ -12,6 +12,8 @@ Three properties pin the fast path to the reference implementation:
   per-packet bookkeeping.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,26 +22,28 @@ from repro.sim.scenario import PaperScenario, ScenarioConfig
 DAYS = 22
 
 
-def _config(use_batch, seed=19):
+def _config(seed=19):
     return ScenarioConfig(
         seed=seed, duration_days=DAYS, volume_scale=1e-4, n_tail=20,
         phase1_day=4, phase2_day=7, phase3_day=10, specific_start_day=12,
         tls_offset_days=5, tpot_hitlist_offset_days=8,
         tpot_tls_offset_days=12, udp_hitlist_offset_days=3,
-        withdraw_after_days=9, use_batch_path=use_batch,
+        withdraw_after_days=9,
     )
 
 
-def _run(use_batch, seed=19):
-    scenario = PaperScenario(_config(use_batch, seed))
+def _run(seed=19):
+    scenario = PaperScenario(_config(seed))
     per_day = [scenario.run_day(day) for day in range(DAYS)]
     return scenario, per_day
 
 
 @pytest.fixture(scope="module")
 def runs():
-    scalar, scalar_days = _run(use_batch=False)
-    batch, batch_days = _run(use_batch=True)
+    with mock.patch.object(PaperScenario, "run_agent_day",
+                           PaperScenario.run_agent_day_reference):
+        scalar, scalar_days = _run()
+    batch, batch_days = _run()
     return scalar, scalar_days, batch, batch_days
 
 
@@ -81,7 +85,7 @@ class TestCountEquality:
 class TestBatchDeterminism:
     def test_same_seed_identical_records_all_telescopes(self, runs):
         _, _, batch, _ = runs
-        again, _ = _run(use_batch=True)
+        again, _ = _run()
         for cap_a, cap_b in (
             (batch.telescope.capturer, again.telescope.capturer),
             (batch.ntb_capturer, again.ntb_capturer),
@@ -96,7 +100,7 @@ class TestBatchDeterminism:
 
     def test_different_seed_differs(self, runs):
         _, _, batch, _ = runs
-        other, _ = _run(use_batch=True, seed=20)
+        other, _ = _run(seed=20)
         ra = batch.telescope.capturer.to_records()
         rb = other.telescope.capturer.to_records()
         assert (len(ra) != len(rb)

@@ -11,6 +11,7 @@ records.
 """
 
 import io
+import shutil
 
 import numpy as np
 import pytest
@@ -69,12 +70,15 @@ class TestAbort:
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
 
-    def test_abort_leaves_the_cadence_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_abort_leaves_the_cadence_checkpoint(self, tmp_path, jobs):
         with pytest.raises(SimulationAborted):
-            _run(tmp_path, abort_after_day=5)
+            _run(tmp_path, jobs=jobs, abort_after_day=5)
         checkpoint = load_checkpoint(tmp_path, _config())
         assert checkpoint is not None
-        # day 5 completed, so the last cadence boundary <= 6 is day 4.
+        # day 5 completed, so the last cadence boundary <= 6 is day 4 —
+        # in both modes: a sharded run aborts mid-window, right after
+        # day 5's sinks, not at the end of the window holding day 5.
         assert checkpoint.next_day == CADENCE
         assert checkpoint.journal_records[0][0] == "run_manifest"
         assert checkpoint.journal_records[-1][0] == "checkpoint"
@@ -130,3 +134,31 @@ class TestResumeSharded:
         resumed, journal = _run(tmp_path, resume=True)
         _assert_identical(base_result, resumed)
         assert journal == base_journal
+
+    @pytest.mark.parametrize("killed_jobs", [1, 2])
+    def test_changed_cadence_resume_matches_serial(self, tmp_path,
+                                                   killed_jobs):
+        """Killed at cadence 3 after day 4, resumed at cadence 2: the
+        resume starts at day 3, between two of its own boundaries, so the
+        sharded run must cut its first window short to checkpoint at day
+        4 as the serial one does.  Serial and sharded resumes of the one
+        kill then write the same bytes, checkpoint records included."""
+        buffer = io.StringIO()
+        with use_journal(Journal(buffer)):
+            with pytest.raises(SimulationAborted):
+                run_scenario(_config(), checkpoint_dir=tmp_path / "ckpt",
+                             checkpoint_every=3, abort_after_day=4,
+                             jobs=killed_jobs)
+        assert load_checkpoint(tmp_path / "ckpt", _config()).next_day == 3
+        shutil.copytree(tmp_path / "ckpt", tmp_path / "ckpt-sharded")
+        runs = []
+        for directory, jobs in (("ckpt", 1), ("ckpt-sharded", 2)):
+            buffer = io.StringIO()
+            with use_journal(Journal(buffer)):
+                result = run_scenario(
+                    _config(), checkpoint_dir=tmp_path / directory,
+                    checkpoint_every=2, resume=True, jobs=jobs)
+            runs.append((result, buffer.getvalue()))
+        (serial, serial_journal), (sharded, sharded_journal) = runs
+        _assert_identical(serial, sharded)
+        assert sharded_journal == serial_journal

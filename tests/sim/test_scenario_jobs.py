@@ -1,12 +1,11 @@
-"""Intra-scenario sharding and day pipelining: byte-identity vs. serial.
+"""Intra-scenario sharding: byte-identity vs. serial.
 
 One scenario run with ``jobs > 1`` shards its agents across replicated
-worker processes (:mod:`repro.exec.shard`); ``pipeline=True`` overlaps
-emission and dispatch on a second thread.  Both must leave *no trace* in
-the outputs: capture records, ground truth, dispatch counters, and the
+worker processes (:mod:`repro.exec.shard`).  That must leave *no trace*
+in the outputs: capture records, ground truth, dispatch counters, and the
 journal byte stream are asserted identical to the serial run for every
-mode — the same contract the experiment pool upholds across runs, pushed
-down inside one.
+``jobs`` — the same contract the experiment pool upholds across runs,
+pushed down inside one.
 """
 
 import io
@@ -17,7 +16,6 @@ import pytest
 from repro.exec.shard import shard_indices
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, run_scenario
-from repro.sim.scenario import PaperScenario
 
 DAYS = 10
 
@@ -78,10 +76,6 @@ class TestShardedEquivalence:
         _assert_identical(serial_result, sharded)
         assert journal == serial_journal
 
-    def test_sharding_requires_batch_path(self):
-        with pytest.raises(ValueError, match="batch"):
-            run_scenario(_config(use_batch_path=False), jobs=2)
-
     def test_same_day_withdrawals_keep_event_order(self, serial):
         """Two honeyprefixes withdrawing on the *same day* is the journal
         merge's hard case: their session_cancel records must interleave by
@@ -101,36 +95,3 @@ class TestShardedEquivalence:
                                        set()).add(record["prefix"])
         assert any(len(prefixes) > 1 for prefixes in cancel_days.values()), \
             "fixture no longer exercises same-day multi-prefix withdrawal"
-
-
-class TestPipelineEquivalence:
-    def test_pipeline_byte_identical_to_serial(self, serial):
-        serial_result, serial_journal = serial
-        piped, journal = _run(_config(), pipeline=True)
-        _assert_identical(serial_result, piped)
-        assert journal == serial_journal
-
-    def test_pipeline_requires_batch_path(self):
-        from repro.sim.pipeline import DispatchPipeline
-
-        scenario = PaperScenario(_config(use_batch_path=False,
-                                         duration_days=1))
-        with pytest.raises(ValueError, match="batch"):
-            DispatchPipeline(scenario)
-
-    def test_pipeline_propagates_dispatch_errors(self):
-        from repro.sim.pipeline import DispatchPipeline
-
-        scenario = PaperScenario(_config(duration_days=2))
-        pipe = DispatchPipeline(scenario)
-
-        def boom(_batch):
-            raise RuntimeError("dispatch exploded")
-
-        scenario.dispatch_batch = boom
-        try:
-            with pytest.raises(RuntimeError, match="dispatch exploded"):
-                pipe.run_day(0)
-                pipe.drain()
-        finally:
-            pipe.close()
