@@ -1,8 +1,8 @@
 """End-to-end packet-path microbench: emit → dispatch → capture.
 
 Times the columnar ``PacketBatch`` pipeline against the retained per-packet
-reference (``PaperScenario.run_agent_day_reference``, selected by patching
-``run_agent_day``) at ``volume_scale=1e-2`` (the scale the longitudinal sweeps need),
+reference (``PaperScenario.run_agents_reference``, selected by patching
+``run_agents``) at ``volume_scale=1e-2`` (the scale the longitudinal sweeps need),
 plus a 30-day ``run_scenario`` wall-clock comparison.  Both measurements are
 written to ``results/BENCH_pipeline.json`` so the perf trajectory has data
 points PR-over-PR.
@@ -47,8 +47,8 @@ def _packet_path(columnar):
     """The columnar path as is, or the per-packet reference patched in."""
     if columnar:
         return contextlib.nullcontext()
-    return mock.patch.object(PaperScenario, "run_agent_day",
-                             PaperScenario.run_agent_day_reference)
+    return mock.patch.object(PaperScenario, "run_agents",
+                             PaperScenario.run_agents_reference)
 
 
 def _measure_pipeline(columnar):
@@ -123,7 +123,7 @@ def test_both_paths_emit_identical_counts(bench):
 def test_pipeline_speedup(bench):
     """Acceptance bar: >= 5x emit→dispatch→capture at volume_scale=1e-2.
 
-    Recent local measurement: ~16x.  The assertion sits at the bar itself —
+    Recent local measurement: ~56x.  The assertion sits at the bar itself —
     the margin above it absorbs CI noise.
     """
     assert bench["pipeline"]["speedup"] >= 5.0

@@ -48,8 +48,7 @@ def _react_path(columnar):
     return mock.patch.multiple(
         ProactiveTelescope,
         _react_tpot_slice=ProactiveTelescope._react_tpot_slice_reference,
-        _react_twinklenet_slice=(
-            ProactiveTelescope._react_twinklenet_slice_reference),
+        _react_twinklenet=ProactiveTelescope._react_twinklenet_reference,
     )
 
 

@@ -292,39 +292,25 @@ class PacketCapturer:
             for pkt in batch.iter_packets():
                 self._writer.write(pkt)
 
-    # -- chunk transfer (shard merge + checkpoint restore) -----------------
+    # -- chunk transfer (checkpoint capture + restore) ----------------------
 
-    def mark(self) -> tuple[int, int]:
-        """Freeze any scalar tail and return the current chunk high-water
-        mark ``(chunks, truth_chunks)`` for a later :meth:`chunks_since`."""
+    def buffered_chunks(self) -> tuple[list, list]:
+        """Every buffered (analysis, truth) chunk, in arrival order — the
+        capture a checkpoint stores."""
         self._flush_scalars()
-        return len(self._chunks), len(self._truth_chunks)
-
-    def chunks_since(self, mark: tuple[int, int]) -> tuple[list, list]:
-        """The (analysis, truth) chunks appended since ``mark`` — the
-        per-agent capture delta a shard worker ships to the parent."""
-        self._flush_scalars()
-        return list(self._chunks[mark[0]:]), list(self._truth_chunks[mark[1]:])
+        return list(self._chunks), list(self._truth_chunks)
 
     def extend_chunks(self, chunks, truth_chunks) -> None:
         """Append transferred chunks in arrival order (the receiving side
-        of shard merging and checkpoint restore).  Does not advance the
-        capture metrics counter: transferred rows were counted where they
-        were captured."""
+        of checkpoint restore).  Does not advance the capture metrics
+        counter: transferred rows were counted where they were
+        captured."""
         self._flush_scalars()
         self._chunks.extend(chunks)
         self._truth_chunks.extend(truth_chunks)
         self._buffered_bytes += sum(_batch_nbytes(c) for c in chunks)
         self._buffered_bytes += sum(_batch_nbytes(c) for c in truth_chunks)
         self._maybe_spill()
-
-    def reset_chunks(self) -> None:
-        """Drop all buffered chunks (a shard worker's memory bound: once a
-        day's deltas are shipped, the worker no longer needs them)."""
-        self._flush_scalars()
-        self._chunks.clear()
-        self._truth_chunks.clear()
-        self._buffered_bytes = 0
 
     def drain_day_records(self):
         """Freeze and drop everything buffered since the last drain.

@@ -84,9 +84,11 @@ class ProactiveTelescope:
         self.gateways: dict[str, DnatGateway] = {}
         self._domain_counter = itertools.count(1)
         self.response_count = 0
-        #: Cached honeyprefix /48 key column for handle_batch; invalidated
-        #: whenever a deploy adds a honeyprefix.
+        #: Cached sorted honeyprefix /48 key column for handle_batch, and
+        #: each key's Twinklenet position; invalidated whenever a deploy
+        #: adds a honeyprefix.
         self._hp_keys_hi: np.ndarray | None = None
+        self._hp_twinkle_pos: np.ndarray | None = None
 
         def _count_tx(_pkt: Packet) -> None:
             self.response_count += 1
@@ -309,13 +311,17 @@ class ProactiveTelescope:
     def handle_batch(self, batch: PacketBatch) -> None:
         """Columnar fast path: capture a whole batch, then react.
 
-        The batch is captured as one numpy chunk, split by honeyprefix /48
-        truncation keys vectorized, and only the rows that can actually
-        elicit a reply (aliased/bound ICMP, open TCP/UDP ports, every
-        in-prefix TCP row for Twinklenet's session machinery) are
-        materialized into per-packet honeypot calls.  Dark rows — the
-        overwhelming majority — are bulk-accounted via ``note_dark`` so rx
-        counters stay identical to the scalar path.
+        The batch is captured as one numpy chunk and routed to the
+        honeypots by /48 truncation key, vectorized.  Each T-Pot gateway
+        gets its own honeyprefix's slice (gateway state is per prefix).
+        Twinklenet's session table and sweep clock are shared by all its
+        prefixes, so it gets one call over every row it owns, with a
+        per-row owner column; those rows are stably ordered by (emitting
+        agent ``origin``, /48 key, row) — the order one call per agent
+        and per honeyprefix would feed it, so a day batch merged from
+        many agents leaves the session table exactly as per-agent
+        dispatch does.  Dark rows are bulk-accounted by the kernels, so
+        rx counters stay identical to the scalar path.
         """
         if len(batch) == 0:
             return
@@ -329,23 +335,38 @@ class ProactiveTelescope:
             return
         with registry.timer("telescope.react"), \
                 tracer.span("telescope.react", telescope=self.name):
+            if self._hp_keys_hi is None:
+                self._index_honeyprefix_keys()
+            keys = self._hp_keys_hi
             shift = np.uint64(16)  # /48 keeps 48 of hi's 64 bits
             hi48 = (batch.dst_hi >> shift) << shift
-            if self._hp_keys_hi is None:
-                self._hp_keys_hi = np.fromiter(
-                    (key >> 64 for key in self._hp_by_48),
-                    dtype=np.uint64, count=len(self._hp_by_48),
-                )
-            hit = np.isin(hi48, self._hp_keys_hi)
+            slot = np.minimum(np.searchsorted(keys, hi48), len(keys) - 1)
+            hit = keys[slot] == hi48
             if not hit.any():
                 return  # control space: pure darknet
-            for key_hi in np.unique(hi48[hit]):
-                hp = self._hp_by_48[int(key_hi) << 64]
-                sub = batch.select(hi48 == key_hi)
-                if hp.config.tpot:
-                    self._react_tpot_slice(hp, sub)
-                else:
-                    self._react_twinklenet_slice(hp, sub)
+            twinkle_pos = self._hp_twinkle_pos[slot]
+            twinkle = hit & (twinkle_pos >= 0)
+            for key_hi in np.unique(hi48[hit & ~twinkle]).tolist():
+                hp = self._hp_by_48[key_hi << 64]
+                self._react_tpot_slice(hp, batch.select(hi48 == key_hi))
+            rows = np.nonzero(twinkle)[0]
+            if len(rows):
+                sort_keys = (hi48[rows],) if batch.origin is None \
+                    else (hi48[rows], batch.origin[rows])
+                rows = rows[np.lexsort(sort_keys)]  # stable
+                self._react_twinklenet(batch.select(rows), twinkle_pos[rows])
+
+    def _index_honeyprefix_keys(self) -> None:
+        """Sorted honeyprefix /48 key column, with each key's position in
+        Twinklenet's honeyprefix list (-1 for a T-Pot prefix)."""
+        twinkle = {id(hp): pos for pos, hp
+                   in enumerate(self.twinklenet.config.honeyprefixes)}
+        keys = sorted(self._hp_by_48)
+        self._hp_keys_hi = np.asarray([key >> 64 for key in keys],
+                                      dtype=np.uint64)
+        self._hp_twinkle_pos = np.asarray(
+            [twinkle.get(id(self._hp_by_48[key]), -1) for key in keys],
+            dtype=np.int64)
 
     def _react_tpot_slice(self, hp: Honeyprefix, sub: PacketBatch) -> None:
         """Route one honeyprefix's slice through its DNAT gateway."""
@@ -371,38 +392,40 @@ class ProactiveTelescope:
         for i in idx:
             gateway.handle(sub.packet_at(int(i)))
 
-    def _react_twinklenet_slice(self, hp: Honeyprefix,
-                                sub: PacketBatch) -> None:
-        """Route one honeyprefix's slice through Twinklenet."""
-        self.twinklenet.handle_batch(sub, owner_hint=hp)
+    def _react_twinklenet(self, sub: PacketBatch, owner: np.ndarray) -> None:
+        """Route Twinklenet's rows (``owner``: each row's position in its
+        honeyprefix list) through it in one call."""
+        self.twinklenet.handle_batch(sub, owner=owner)
 
-    def _react_twinklenet_slice_reference(self, hp: Honeyprefix,
-                                          sub: PacketBatch) -> None:
-        """Per-packet reference for :meth:`_react_twinklenet_slice` (tests
-        and the reply-path microbench select it by patching the method):
-        TCP rows always materialize (session table + eviction sweeps need
+    def _react_twinklenet_reference(self, sub: PacketBatch,
+                                    owner: np.ndarray) -> None:
+        """Per-packet reference for :meth:`_react_twinklenet` (tests and
+        the reply-path microbench select it by patching the method): TCP
+        rows always materialize (session table + eviction sweeps need
         every in-prefix segment); ICMP/UDP rows materialize only when the
         responsiveness map can answer them.
         """
-        in_pref = sub.mask_dst_in(hp.prefix)
-        need = in_pref & (sub.proto == np.uint8(TCP))
-        icmp = in_pref & (sub.proto == np.uint8(ICMPV6))
-        if hp.config.aliased:
-            need |= icmp
-        elif icmp.any():
-            set_hi, set_lo = hp.icmp_address_columns()
-            need |= icmp & member_mask_u64(sub.dst_hi, sub.dst_lo,
-                                           set_hi, set_lo)
-        udp = in_pref & (sub.proto == np.uint8(UDP))
-        if udp.any():
-            # One composite-key membership test over the cached
-            # (address, port) binding columns replaces the old
-            # per-responsive-address Python loop.
-            set_hi, set_lo, set_ports = hp.binding_columns(UDP)
-            if len(set_hi):
-                need |= udp & member_mask_cols(
-                    (sub.dst_hi, sub.dst_lo, sub.dport),
-                    (set_hi, set_lo, set_ports))
+        need = np.zeros(len(sub), dtype=bool)
+        for pos in np.unique(owner).tolist():
+            hp = self.twinklenet.config.honeyprefixes[pos]
+            in_pref = (owner == pos) & sub.mask_dst_in(hp.prefix)
+            need |= in_pref & (sub.proto == np.uint8(TCP))
+            icmp = in_pref & (sub.proto == np.uint8(ICMPV6))
+            if hp.config.aliased:
+                need |= icmp
+            elif icmp.any():
+                set_hi, set_lo = hp.icmp_address_columns()
+                need |= icmp & member_mask_u64(sub.dst_hi, sub.dst_lo,
+                                               set_hi, set_lo)
+            udp = in_pref & (sub.proto == np.uint8(UDP))
+            if udp.any():
+                # One composite-key membership test over the cached
+                # (address, port) binding columns.
+                set_hi, set_lo, set_ports = hp.binding_columns(UDP)
+                if len(set_hi):
+                    need |= udp & member_mask_cols(
+                        (sub.dst_hi, sub.dst_lo, sub.dport),
+                        (set_hi, set_lo, set_ports))
         idx = np.nonzero(need)[0]
         self.twinklenet.note_dark(len(sub) - len(idx))
         for i in idx:

@@ -370,7 +370,6 @@ class Twinklenet:
         self._owner_index: dict[tuple[int, int], tuple[int, Honeyprefix]] = {}
         self._owner_lengths: list[int] = []
         self._owner_cols: dict[int, tuple] = {}
-        self._hp_pos: dict[int, int] = {}
         self._indexed_count = -1
         registry = get_registry()
         self._m_rx = registry.counter("twinklenet.rx")
@@ -418,8 +417,6 @@ class Twinklenet:
             lengths.add(hp.prefix.length)
         self._owner_lengths = sorted(lengths)
         self._indexed_count = len(self.config.honeyprefixes)
-        self._hp_pos = {id(hp): pos
-                        for pos, hp in enumerate(self.config.honeyprefixes)}
         # Columnar twin of the index, for the batch owner lookup: per
         # length, the truncated networks as (hi, lo) columns + positions.
         self._owner_cols = {}
@@ -609,7 +606,7 @@ class Twinklenet:
     # -- columnar kernels ------------------------------------------------
 
     def handle_batch(self, batch: PacketBatch | WireBatch,
-                     owner_hint: Honeyprefix | None = None) -> WireBatch:
+                     owner: np.ndarray | None = None) -> WireBatch:
         """Process a whole batch; returns the reply batch (row order =
         input row order, matching the per-packet reference exactly).
 
@@ -618,9 +615,11 @@ class Twinklenet:
         tests).  Dark rows cost only their share of the vectorized masks —
         nothing is materialized per packet on the all-SYN hot path.
 
-        ``owner_hint``: a honeyprefix the caller guarantees owns every row
-        (the telescope slices traffic per deployed /48 before dispatching
-        here); skips the per-row owner lookup.
+        ``owner``: the per-row position in ``config.honeyprefixes`` of the
+        honeyprefix that owns the row (-1: unowned), when the caller
+        already routed the traffic (the telescope does, by deployed /48);
+        skips the per-row owner lookup.  Processing is row-sequential, so
+        one call on a concatenation of batches equals one call per batch.
         """
         wire = as_wire(batch)
         n = len(wire)
@@ -628,12 +627,7 @@ class Twinklenet:
         self._m_rx.inc(n)
         out = WireBuilder()
         if n:
-            if owner_hint is not None:
-                if len(self.config.honeyprefixes) != self._indexed_count:
-                    self._rebuild_owner_index()
-                owner = np.full(n, self._hp_pos[id(owner_hint)],
-                                dtype=np.int64)
-            else:
+            if owner is None:
                 owner = self._owner_pos_batch(wire.dst_hi, wire.dst_lo)
             if (owner >= 0).any():
                 self._react_icmp_batch(wire, owner, out)

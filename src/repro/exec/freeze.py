@@ -165,7 +165,7 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
         next_day=int(next_day),
         counters=(c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted),
         captures={
-            key: cap.chunks_since((0, 0))
+            key: cap.buffered_chunks()
             for key, cap in scenario.capturers().items()
         },
         journal_records=list(journal_records),

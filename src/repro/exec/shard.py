@@ -4,20 +4,27 @@ The experiment pool (:mod:`repro.exec.pool`) parallelizes *across*
 scenario runs; this module parallelizes *inside* one.  ``jobs`` persistent
 workers each build the identical :class:`~repro.sim.scenario.PaperScenario`
 (construction is deterministic under the config seed) and run the day loop,
-but each polls, emits, and dispatches only the agents whose index is
-congruent to its shard number — every packet is simulated exactly once.
+but each only polls and emits the agents whose index is congruent to its
+shard number — every packet is emitted exactly once.  Workers never
+dispatch: the parent advances its own replica's engine to day *d*,
+concatenates the day's worker batches in agent order, and routes them
+through the same :meth:`~repro.sim.scenario.PaperScenario.dispatch_batch`
+call a serial run makes.  Capture and honeypot reaction therefore happen
+once, in the parent, against the engine state a serial run has — the
+parent owns every capturer, Twinklenet session table and DNAT gateway.
 
 Why replication is sound: world evolution (engine events, hitlist cycles,
 BGP collectors, honeyprefix triggers) depends only on the config seed,
 never on emitted traffic or on which agents polled, so every replica walks
 the same world; and every poll/emission draw comes from a per-agent RNG or
 a key-derived decision stream, so a shard's draws are untouched by the
-other shards' absence.  The merging parent runs its own replica —
-engine-only, it never polls — to produce the honeyprefix/fabric surface
-and the engine-phase journal records (deploys, retractions).
+other shards' absence.  The parent's replica never polls; it provides the
+honeyprefix/fabric surface, the engine-phase journal records (deploys,
+retractions) and every telescope.
 
-**Byte-identity contract**: the merged journal, capture records, and
-dispatch counters are identical, byte for byte, to a serial run's.  The
+**Identity contract**: the merged journal, capture records, ground truth,
+dispatch counters *and honeypot state* (Twinklenet sessions, evictions,
+rx/tx; every gateway's NAT log) are identical to a serial run's.  The
 subtle part is journal order.  A serial day writes: engine-event records
 (deploy/retract/session_cancel, in event order, cancels in agent order
 within an event), then each agent's poll records in agent order, then the
@@ -28,18 +35,22 @@ processes the identical event sequence — and the parent sort-merges on
 deploy/retract records keyed at agent index -1 (a serial ``_withdraw``
 emits the retraction before any cancel).
 
-Workers ship, per day and per agent: the journal records the agent
-emitted, its per-telescope capture-chunk deltas (truth sidecars included),
-and its emitted count; plus per-day dispatch-counter deltas.  Chunks are
-dropped worker-side once shipped, bounding worker memory to one window.
+Workers ship, per day: the engine-phase session records, each agent's
+poll records, and one batch of everything their agents emitted (rows
+carry the emitting agent in ``origin``, which restores agent order in
+the parent).  Workers run one window ahead: while the parent dispatches
+and reacts window *k*, they emit window *k + 1*.
 """
 
 from __future__ import annotations
 
 import traceback
 
+import numpy as np
+
 from repro._util import DAY
 from repro.exec.parallel import process_context
+from repro.net.batch import PacketBatch
 from repro.obs import (
     get_journal,
     set_journal,
@@ -61,17 +72,11 @@ def shard_indices(n_agents: int, shard_index: int, shard_count: int):
     return range(shard_index, n_agents, shard_count)
 
 
-def _counter_tuple(counters) -> tuple:
-    return (counters.nta, counters.ntb, counters.ntc,
-            counters.live_dropped, counters.unrouted)
-
-
 # -- worker side -----------------------------------------------------------
 
-def _worker_day(scenario, recorder, caps, day: int, shard_index: int,
+def _worker_day(scenario, recorder, day: int, shard_index: int,
                 shard_count: int) -> dict:
-    """Run one day for this shard; returns the merge payload."""
-    counters_before = _counter_tuple(scenario.counters)
+    """Poll and emit one day for this shard; returns the merge payload."""
     # Engine phase: tag records with the processed-event ordinal so the
     # parent can interleave cancels from all shards in serial order.
     recorder.context_fn = lambda: scenario.engine.processed
@@ -83,26 +88,19 @@ def _worker_day(scenario, recorder, caps, day: int, shard_index: int,
     ]
     recorder.context_fn = None
     recorder.clear()
-    agents = []
+    polls = []
+    batches = []
     for idx in shard_indices(len(scenario.agents), shard_index,
                              shard_count):
-        marks = {key: cap.mark() for key, cap in caps.items()}
-        emitted = scenario.run_agent_day(scenario.agents[idx], day_start,
-                                         day_end)
-        records = [(rtype, fields) for _, rtype, fields in recorder.records]
-        recorder.clear()
-        deltas = {key: cap.chunks_since(marks[key])
-                  for key, cap in caps.items()}
-        agents.append((idx, records, emitted, deltas))
+        batches.append(scenario.emit_agent_day(scenario.agents[idx],
+                                               day_start, day_end))
+        if recorder.records:
+            polls.append((idx, [(rtype, fields)
+                                for _, rtype, fields in recorder.records]))
+            recorder.clear()
     scenario._last_poll = day_end
-    for cap in caps.values():
-        cap.reset_chunks()
-    counter_delta = tuple(
-        after - before for before, after
-        in zip(counters_before, _counter_tuple(scenario.counters))
-    )
-    return {"engine": engine_records, "agents": agents,
-            "counters": counter_delta}
+    return {"engine": engine_records, "polls": polls,
+            "batch": PacketBatch.concat(batches)}
 
 
 def _worker_main(conn, config, shard_index: int, shard_count: int,
@@ -124,7 +122,6 @@ def _worker_main(conn, config, shard_index: int, shard_count: int,
                     scenario.replay_day(day, shard_index=shard_index,
                                         shard_count=shard_count)
         recorder.clear()
-        caps = scenario.capturers()
         conn.send(("ready", shard_index))
         while True:
             message = conn.recv()
@@ -132,7 +129,7 @@ def _worker_main(conn, config, shard_index: int, shard_count: int,
                 return
             _, window_start, window_end = message
             days = [
-                _worker_day(scenario, recorder, caps, day, shard_index,
+                _worker_day(scenario, recorder, day, shard_index,
                             shard_count)
                 for day in range(window_start, window_end)
             ]
@@ -225,8 +222,9 @@ def merge_day(scenario, journal, day: int, parent_records,
 
     Reconstructs the serial journal order (engine phase sort-merged on
     ``(event ordinal, agent, emission order)``, then poll records in
-    agent order, then the day record), appends capture chunks in agent
-    order, and accumulates counter deltas.
+    agent order, then the day record), and dispatches the day's rows,
+    restored to agent order, through the parent's telescopes.  The
+    parent's engine must already stand at the end of ``day``.
     """
     engine_phase = [
         (tag, fields.get("agent", -1), i, rtype, fields)
@@ -239,70 +237,64 @@ def merge_day(scenario, journal, day: int, parent_records,
     for _tag, _agent, _i, rtype, fields in engine_phase:
         journal.emit(rtype, **fields)
 
-    caps = scenario.capturers()
-    entries = sorted(
-        (entry for payload in worker_payloads for entry in payload["agents"]),
+    polls = sorted(
+        (entry for payload in worker_payloads for entry in payload["polls"]),
         key=lambda entry: entry[0],
     )
-    emitted_total = 0
-    for _idx, records, emitted, deltas in entries:
+    for _idx, records in polls:
         for rtype, fields in records:
             journal.emit(rtype, **fields)
-        emitted_total += emitted
-        for key, cap in caps.items():
-            chunks, truth_chunks = deltas[key]
-            cap.extend_chunks(chunks, truth_chunks)
-    journal.emit("day", day=day, emitted=emitted_total)
 
-    counters = scenario.counters
-    for payload in worker_payloads:
-        delta = payload["counters"]
-        counters.nta += delta[0]
-        counters.ntb += delta[1]
-        counters.ntc += delta[2]
-        counters.live_dropped += delta[3]
-        counters.unrouted += delta[4]
-    return emitted_total
+    batch = PacketBatch.concat([payload["batch"]
+                                for payload in worker_payloads])
+    if batch.origin is not None:
+        # Agent-major, each agent's rows in emission order: the serial
+        # day batch.
+        batch = batch.select(np.argsort(batch.origin, kind="stable"))
+    scenario.dispatch_batch(batch)
+    journal.emit("day", day=day, emitted=len(batch))
+    return len(batch)
 
 
 def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
                      duration: int, window_days: int, on_day_end) -> None:
     """Drive the day loop across the pool in day windows.
 
-    For each window the parent first posts the work, then advances its
-    own engine through the same days (buffering its deploy/retract
-    records with event ordinals) while the workers emit and dispatch —
-    the overlap that makes sharding pay — and finally merges.
-    ``on_day_end(day, emitted)`` runs after each day's merge, when the parent
-    capturers and counters hold exactly the state a serial run has after
-    that day.
+    Workers emit a window while the parent merges the previous one: for
+    each day, the parent advances its own engine (buffering its
+    deploy/retract records with event ordinals), then merges and
+    dispatches the workers' rows.  ``on_day_end(day, emitted)`` runs
+    after each day's merge, when the parent capturers, counters and
+    honeypots hold exactly the state a serial run has after that day.
 
     Windows end on multiples of ``window_days`` (or at ``duration``): a
     run resumed between two boundaries first runs a short window up to
-    the next one.  The parent engine is then never ahead of a boundary
-    day when ``on_day_end`` sees it, so a checkpoint taken there is the
-    one a serial run would take.
+    the next one, so a checkpoint taken by ``on_day_end`` on a boundary
+    day is the one a serial run would take.
     """
     journal = get_journal()
     window_days = max(1, int(window_days))
+
+    def window_end_of(start: int) -> int:
+        return min((start // window_days + 1) * window_days, duration)
+
     window_start = start_day
+    if window_start < duration:
+        pool.send_window(window_start, window_end_of(window_start))
     while window_start < duration:
-        window_end = min((window_start // window_days + 1) * window_days,
-                         duration)
-        pool.send_window(window_start, window_end)
-        parent_days = []
-        for day in range(window_start, window_end):
+        window_end = window_end_of(window_start)
+        worker_days = pool.recv_window()
+        if window_end < duration:
+            pool.send_window(window_end, window_end_of(window_end))
+        for offset, day in enumerate(range(window_start, window_end)):
             buffer = RecordingJournal(
                 context_fn=lambda: scenario.engine.processed
             )
             with use_journal(buffer):
                 scenario.begin_day(day)
             scenario._last_poll = (day + 1) * DAY
-            parent_days.append(buffer.records)
-        worker_days = pool.recv_window()
-        for offset, day in enumerate(range(window_start, window_end)):
             emitted = merge_day(
-                scenario, journal, day, parent_days[offset],
+                scenario, journal, day, buffer.records,
                 [per_worker[offset] for per_worker in worker_days],
             )
             on_day_end(day, emitted)

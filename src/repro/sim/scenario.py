@@ -481,29 +481,32 @@ class PaperScenario:
         routed prefix here is /48 or shorter, so the low half never
         matters), and :class:`DispatchCounters` update from mask sums
         before any telescope handles its sub-batch, in fixed NT-A, NT-B,
-        NT-C order.
+        NT-C order.  The day loop calls it once per simulated day, on
+        every agent's rows in agent order.
         """
-        if len(batch) == 0:
-            return
-        with get_tracer().span("scenario.dispatch_batch",
-                               packets=len(batch)):
-            nta = batch.mask_dst_in(self.nta_covering)
-            shift = np.uint64(16)
-            hi48 = (batch.dst_hi >> shift) << shift
-            live = nta & np.isin(hi48, self._live_keys_hi)
-            nta &= ~live
-            ntb = batch.mask_dst_in(self.ntb_prefix)
-            ntc = batch.mask_dst_in(self.ntc_prefix)
-            self.counters.live_dropped += int(live.sum())
-            self.counters.nta += int(nta.sum())
-            self.counters.ntb += int(ntb.sum())
-            self.counters.ntc += int(ntc.sum())
-            self.counters.unrouted += int((~(nta | live | ntb | ntc)).sum())
-            for mask, handler in ((nta, self.telescope.handle_batch),
-                                  (ntb, self.ntb.handle_batch),
-                                  (ntc, self.ntc.handle_batch)):
-                if mask.any():
-                    handler(batch.select(mask))
+        with get_registry().timer("scenario.dispatch"):
+            if len(batch) == 0:
+                return
+            with get_tracer().span("scenario.dispatch_batch",
+                                   packets=len(batch)):
+                nta = batch.mask_dst_in(self.nta_covering)
+                shift = np.uint64(16)
+                hi48 = (batch.dst_hi >> shift) << shift
+                live = nta & np.isin(hi48, self._live_keys_hi)
+                nta &= ~live
+                ntb = batch.mask_dst_in(self.ntb_prefix)
+                ntc = batch.mask_dst_in(self.ntc_prefix)
+                self.counters.live_dropped += int(live.sum())
+                self.counters.nta += int(nta.sum())
+                self.counters.ntb += int(ntb.sum())
+                self.counters.ntc += int(ntc.sum())
+                self.counters.unrouted += int(
+                    (~(nta | live | ntb | ntc)).sum())
+                for mask, handler in ((nta, self.telescope.handle_batch),
+                                      (ntb, self.ntb.handle_batch),
+                                      (ntc, self.ntc.handle_batch)):
+                    if mask.any():
+                        handler(batch.select(mask))
 
     # -- the daily loop -------------------------------------------------------------
 
@@ -526,51 +529,53 @@ class PaperScenario:
         self.engine.run_until(day_end)
         return day_start, day_end
 
-    def run_agent_day(self, agent: ScannerAgent, day_start: float,
-                      day_end: float) -> int:
-        """Poll, emit, and dispatch one agent's day through the columnar
-        path (``emit_day_batch`` → ``dispatch_batch`` → ``capture_batch``);
-        returns its emitted count.  Reads ``self._last_poll`` (advanced
-        once per day, after every agent ran) so the poll window is
-        identical no matter which process or shard drives the agent."""
-        registry = get_registry()
+    def emit_agent_day(self, agent: ScannerAgent, day_start: float,
+                       day_end: float) -> PacketBatch:
+        """Poll one agent's feeds and emit its day as one batch.  Reads
+        ``self._last_poll`` (advanced once per day, after every agent
+        ran) so the poll window is identical no matter which process or
+        shard drives the agent."""
         agent.poll_feeds(self._last_poll, day_end)
-        with registry.timer("scenario.emit"):
-            batch = agent.emit_day_batch(day_start, day_end)
-        with registry.timer("scenario.dispatch"):
-            self.dispatch_batch(batch)
+        with get_registry().timer("scenario.emit"):
+            return agent.emit_day_batch(day_start, day_end)
+
+    def run_agents(self, day_start: float, day_end: float) -> int:
+        """Every agent polls and emits in agent order, then one
+        concatenated day batch is dispatched — so each telescope captures
+        and reacts once per day.  Returns the emitted count."""
+        batch = PacketBatch.concat([
+            self.emit_agent_day(agent, day_start, day_end)
+            for agent in self.agents
+        ])
+        self.dispatch_batch(batch)
         return len(batch)
 
-    def run_agent_day_reference(self, agent: ScannerAgent, day_start: float,
-                                day_end: float) -> int:
-        """Per-packet reference for :meth:`run_agent_day` (``emit_day`` →
-        :meth:`dispatch`), retained as the oracle for the batch-equivalence
-        tests and the packet-path microbench, which select it by patching
-        the method."""
+    def run_agents_reference(self, day_start: float, day_end: float) -> int:
+        """Per-packet reference for :meth:`run_agents` (``emit_day`` →
+        :meth:`dispatch`, agent by agent), retained as the oracle for the
+        batch-equivalence tests and the packet-path microbench, which
+        select it by patching the method."""
         registry = get_registry()
-        agent.poll_feeds(self._last_poll, day_end)
-        with registry.timer("scenario.emit"):
-            packets = agent.emit_day(day_start, day_end)
-        with registry.timer("scenario.dispatch"):
-            for pkt in packets:
-                self.dispatch(pkt)
-        return len(packets)
+        emitted = 0
+        for agent in self.agents:
+            agent.poll_feeds(self._last_poll, day_end)
+            with registry.timer("scenario.emit"):
+                packets = agent.emit_day(day_start, day_end)
+            with registry.timer("scenario.dispatch"):
+                for pkt in packets:
+                    self.dispatch(pkt)
+            emitted += len(packets)
+        return emitted
 
     def run_day(self, day: int) -> int:
         """Simulate day ``day``; returns the number of packets dispatched."""
         span = get_tracer().span("scenario.run_day", day=day)
         with span:
-            emitted = self._run_day_impl(day)
+            day_start, day_end = self.begin_day(day)
+            emitted = self.run_agents(day_start, day_end)
+            self._last_poll = day_end
         span.set(emitted=emitted)
         get_journal().emit("day", day=day, emitted=emitted)
-        return emitted
-
-    def _run_day_impl(self, day: int) -> int:
-        day_start, day_end = self.begin_day(day)
-        emitted = 0
-        for agent in self.agents:
-            emitted += self.run_agent_day(agent, day_start, day_end)
-        self._last_poll = day_end
         return emitted
 
     def replay_day(self, day: int, shard_index: int = 0,

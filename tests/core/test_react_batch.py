@@ -27,8 +27,8 @@ from repro.core.twinklenet import (
     Twinklenet,
     TwinklenetConfig,
 )
-from repro.net.addr import IPv6Prefix
-from repro.net.batch import WireBatch
+from repro.net.addr import IPv6Prefix, split_u64
+from repro.net.batch import PacketBatch, WireBatch, probe_batch
 from repro.net.packet import (
     ICMPV6,
     TCP,
@@ -465,6 +465,272 @@ class TestTPotEquivalence:
         assert gw.recover_destination(0.5, ports[0]) is None
 
 
+SECOND_PREFIX = IPv6Prefix.parse("2001:db8:202::/48")
+
+
+def _make_multi_owner_pot(max_sessions):
+    """A Twinklenet over two bound honeyprefixes and one aliased one, with
+    a short idle timeout and the given session cap."""
+    rng = np.random.default_rng(99)
+    bound = [
+        deploy_addresses(HoneyprefixConfig(
+            name=f"hp{i}", icmp_mode=IcmpMode.ADDRESSES,
+            tcp_services=(("web", (80, 443)),), udp_ports=(53, 123)),
+            prefix, rng)
+        for i, prefix in enumerate((PREFIX, SECOND_PREFIX))
+    ]
+    aliased = deploy_addresses(
+        HoneyprefixConfig(name="hp_alias", aliased=True,
+                          icmp_mode=IcmpMode.FULL),
+        ALIASED_PREFIX, rng)
+    registry = MetricsRegistry()
+    out = []
+    with use_registry(registry):
+        pot = Twinklenet(
+            TwinklenetConfig(bound + [aliased], session_timeout=50.0,
+                             max_sessions=max_sessions),
+            transmit=out.append)
+    return pot, bound, registry, out
+
+
+def _lifecycle_traffic(rng, bound, n):
+    """SYN, ACK, FIN, RST and payload rows (plus echo and DNS/NTP) over
+    several owners, from a small key pool so follow-ups find live
+    sessions; the clock occasionally jumps past the idle timeout."""
+    web = [(a, port) for hp in bound for a, b in hp.responsive.items()
+           for port in (80, 443) if (TCP, port) in b]
+    udp = [a for hp in bound for a, b in hp.responsive.items()
+           if (UDP, 53) in b]
+    pkts = []
+    ts = 0.0
+    for _ in range(n):
+        ts += float(rng.exponential(0.4))
+        if rng.random() < 0.01:
+            ts += 60.0
+        src = SRC_NET | int(rng.integers(1, 9))
+        kind = int(rng.integers(0, 12))
+        if kind < 8:
+            dst, dport = web[int(rng.integers(0, len(web)))]
+            sport = 5000 + int(rng.integers(0, 2))
+            flags, payload = [
+                (TcpFlags.SYN, b""), (TcpFlags.SYN, b""), (TcpFlags.SYN, b""),
+                (TcpFlags.ACK, b""),
+                (TcpFlags.PSH | TcpFlags.ACK, b"GET / HTTP/1.0\r\n"),
+                (TcpFlags.FIN | TcpFlags.ACK, b""), (TcpFlags.RST, b""),
+                (TcpFlags.SYN, b""),
+            ][kind]
+            pkts.append(tcp_segment(ts, src, dst, sport, dport, flags,
+                                    seq=int(rng.integers(1, 9999)),
+                                    ack=1, payload=payload))
+        elif kind == 8:
+            pkts.append(icmp_echo_request(
+                ts, src, ALIASED_PREFIX.network | int(rng.integers(0, 99))))
+        elif kind == 9:
+            hp = bound[int(rng.integers(0, 2))]
+            pkts.append(icmp_echo_request(
+                ts, src, int(rng.choice(hp.icmp_addresses()))))
+        elif kind == 10:
+            pkts.append(udp_datagram(
+                ts, src, int(rng.choice(udp)), 3333,
+                int(rng.choice([53, 123])), payload=b"\x12\x34"))
+        else:
+            pkts.append(tcp_segment(ts, src, SECOND_PREFIX.network | 0xC0DE,
+                                    6000, 81, TcpFlags.SYN, seq=1))
+    return pkts
+
+
+def _split(rng, pkts, k):
+    cuts = np.sort(rng.choice(np.arange(1, len(pkts)), size=k - 1,
+                              replace=False))
+    bounds = [0, *cuts.tolist(), len(pkts)]
+    return [pkts[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _table(pot):
+    """Session table contents: keys in insertion order with timestamps."""
+    return [(key, s.opened_at, s.last_seen, s.state)
+            for key, s in pot._sessions.items()]
+
+
+class TestKernelComposability:
+    """One ``handle_batch`` call on a concatenation of batches equals one
+    call per batch — the property that lets a simulated day's agents be
+    merged into a single dispatch.  Agent batches carry only bare SYNs,
+    so the handshake follow-ups (ACK, payload, FIN, RST) are covered here
+    at kernel level."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_twinklenet_concat_equals_sequential(self, seed, routed):
+        rng = np.random.default_rng(seed)
+        pot_seq, bound, reg_seq, out_seq = _make_multi_owner_pot(6)
+        pot_cat, _, reg_cat, out_cat = _make_multi_owner_pot(6)
+        pkts = _lifecycle_traffic(rng, bound, 500)
+        parts = [WireBatch.from_packets(chunk)
+                 for chunk in _split(rng, pkts, 7)]
+        merged = WireBatch.from_packets(pkts)
+
+        def owner(pot, wire):
+            # The telescope passes its routing as an owner column.
+            if not routed:
+                return None
+            return pot._owner_pos_batch(wire.dst_hi, wire.dst_lo)
+
+        seq_replies = []
+        for part in parts:
+            seq_replies += pot_seq.handle_batch(
+                part, owner=owner(pot_seq, part)).to_packets()
+        cat_replies = pot_cat.handle_batch(
+            merged, owner=owner(pot_cat, merged)).to_packets()
+        assert cat_replies == seq_replies
+        assert out_cat == out_seq
+        assert _table(pot_cat) == _table(pot_seq)
+        assert pot_cat.sessions_evicted == pot_seq.sessions_evicted
+        assert _state(pot_cat) == _state(pot_seq)
+        assert reg_cat.snapshot()["counters"] \
+            == reg_seq.snapshot()["counters"]
+        # Preconditions: the traffic completes handshakes, the cap binds
+        # (an uncapped table evicts less) and sweeps fire mid-stream.
+        counters = reg_seq.snapshot()["counters"]
+        assert counters["twinklenet.sessions.completed"] > 0
+        assert counters["twinklenet.sessions.torn_down"] > 0
+        uncapped, _, _, _ = _make_multi_owner_pot(4096)
+        uncapped.handle_batch(merged)
+        assert pot_seq.sessions_evicted > uncapped.sessions_evicted
+        assert pot_seq._last_sweep >= pkts[0].timestamp + 50.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_telescope_multi_agent_batch_equals_per_agent(self, seed):
+        """A merged multi-agent batch equals one telescope call per agent
+        (replies, captures, truth, honeypot state) and, for the honeypot
+        state, one call per agent and per honeyprefix."""
+        rng = np.random.default_rng(seed)
+        merged_tel, hps = _deployed_telescope()
+        per_agent_tel, _ = _deployed_telescope()
+        per_slice_tel, _ = _deployed_telescope()
+        logs = [_reply_log(tel)
+                for tel in (merged_tel, per_agent_tel, per_slice_tel)]
+        batches = [_agent_probe_batch(rng, hps, agent, 300)
+                   for agent in range(6)]
+        for batch in batches:
+            per_agent_tel.handle_batch(batch)
+            # One call per agent and per honeyprefix /48, in key order:
+            # the sequence the merged call must reproduce.
+            hi48 = (batch.dst_hi >> np.uint64(16)) << np.uint64(16)
+            for key in np.unique(hi48):
+                per_slice_tel.handle_batch(batch.select(hi48 == key))
+        merged_tel.handle_batch(PacketBatch.concat(batches))
+
+        assert logs[0] == logs[1] == logs[2]
+        ra = merged_tel.capturer.to_records()
+        rb = per_agent_tel.capturer.to_records()
+        for column in ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
+                       "proto", "sport", "dport"):
+            assert np.array_equal(getattr(ra, column), getattr(rb, column))
+        assert np.array_equal(merged_tel.capturer.to_truth().origin,
+                              per_agent_tel.capturer.to_truth().origin)
+        for other in (per_agent_tel, per_slice_tel):
+            assert merged_tel.response_count == other.response_count
+            assert _table(merged_tel.twinklenet) == _table(other.twinklenet)
+            assert _state(merged_tel.twinklenet) == _state(other.twinklenet)
+            for name, gw in merged_tel.gateways.items():
+                assert _gateway_state(gw) \
+                    == _gateway_state(other.gateways[name])
+        # Preconditions: both honeypot kinds answered, and sessions of
+        # several agents competed for the capped table.
+        assert logs[0]["twinklenet"] and logs[0]["H_TPot1"]
+        assert merged_tel.twinklenet.sessions_evicted > 0
+
+
+def _deployed_telescope():
+    """A proactive telescope with bound, aliased and T-Pot honeyprefixes
+    deployed, and a small Twinklenet session cap and idle timeout."""
+    from repro.core.honeyprefix import standard_configs
+    from repro.core.proactive import ProactiveTelescope
+    from repro.dns.registry import Registrar, TldRegistry
+    from repro.dns.resolver import Resolver
+    from repro.routing.collectors import CollectorSystem
+    from repro.routing.rpki import RoaRegistry
+    from repro.routing.speaker import BgpSpeaker
+    from repro.tlsca.acme import AcmeClient
+    from repro.tlsca.ca import CertificateAuthority
+    from repro.tlsca.ctlog import CtLog
+
+    covering = IPv6Prefix.parse("2001:db8::/32")
+    roa = RoaRegistry()
+    speaker = BgpSpeaker(64500, CollectorSystem(rng=0, roa_registry=roa),
+                         roa)
+    registrar = Registrar()
+    for tld in ("com", "net", "org"):
+        registrar.add_tld(TldRegistry(tld))
+    acme = AcmeClient(CertificateAuthority(ct_logs=[CtLog()]), registrar,
+                      Resolver([registrar]))
+    tel = ProactiveTelescope("NT-A", covering, speaker, registrar, acme,
+                             rng=5)
+    tel.twinklenet.config.max_sessions = 24
+    tel.twinklenet.config.session_timeout = 300.0
+    configs = {c.name: c for c in standard_configs()}
+    hps = [tel.deploy(configs[name], covering.subnet_at(0x8000 + i, 48),
+                      at=0.0)
+           for i, name in enumerate(("H_TCP", "H_Alias", "H_TPot1",
+                                     "H_Combined", "H_TPot2"))]
+    return tel, hps
+
+
+def _reply_log(tel):
+    """Record every reply batch per honeypot, keeping the telescope's own
+    reply counting."""
+    log = {"twinklenet": []}
+
+    def recorder(key):
+        def transmit(replies):
+            log[key].extend(replies.to_packets())
+            tel._count_tx_batch(replies)
+        return transmit
+
+    tel.twinklenet.set_transmit_batch(recorder("twinklenet"))
+    for name, gw in tel.gateways.items():
+        log[name] = []
+        gw.set_transmit_batch(recorder(name))
+    return log
+
+
+def _agent_probe_batch(rng, hps, agent, n):
+    """One agent's day of probes: time-sorted bare SYN / echo / UDP rows at
+    responsive addresses, random honeyprefix addresses and control
+    space."""
+    targets = [[(a, proto, port) for a, bindings in hp.responsive.items()
+                for proto, port in bindings] for hp in hps]
+    targets = [t for t in targets if t]
+    ts = np.sort(rng.uniform(0.0, 3600.0, size=n))
+    cols = {key: [] for key in ("dst", "proto", "dport")}
+    for _ in range(n):
+        kind = int(rng.integers(0, 4))
+        if kind < 2:
+            hp_targets = targets[int(rng.integers(0, len(targets)))]
+            dst, proto, port = hp_targets[int(rng.integers(0,
+                                                          len(hp_targets)))]
+        elif kind == 2:
+            hp = hps[int(rng.integers(0, len(hps)))]
+            dst = hp.prefix.network | int(rng.integers(0, 1 << 20))
+            proto = int(rng.choice([TCP, ICMPV6, UDP]))
+            port = int(rng.choice([22, 80, 443, 53]))
+        else:
+            dst = IPv6Prefix.parse("2001:db8:7777::/48").network | 9
+            proto, port = TCP, 80
+        cols["dst"].append(dst)
+        cols["proto"].append(proto)
+        cols["dport"].append(0 if port is None else port)
+    # A few sources per agent, all in SRC_NET (whose low half is zero).
+    src_lo = (agent << 8) + rng.integers(1, 4, size=n)
+    dst_hi, dst_lo = split_u64(cols["dst"])
+    batch = probe_batch(
+        ts, np.full(n, SRC_NET >> 64, dtype=np.uint64), src_lo,
+        dst_hi, dst_lo, cols["proto"], rng.integers(32768, 61000, size=n),
+        cols["dport"])
+    return batch.with_origin(agent)
+
+
 class TestScenarioReactParity:
     """Swapping the columnar react kernels for their per-packet references
     must not change a single byte of a scenario run: records, ground
@@ -493,8 +759,8 @@ class TestScenarioReactParity:
         with mock.patch.multiple(
             ProactiveTelescope,
             _react_tpot_slice=ProactiveTelescope._react_tpot_slice_reference,
-            _react_twinklenet_slice=(
-                ProactiveTelescope._react_twinklenet_slice_reference),
+            _react_twinklenet=(
+                ProactiveTelescope._react_twinklenet_reference),
         ):
             scalar = _run()
         return batch, scalar

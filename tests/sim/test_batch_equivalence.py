@@ -40,8 +40,8 @@ def _run(seed=19):
 
 @pytest.fixture(scope="module")
 def runs():
-    with mock.patch.object(PaperScenario, "run_agent_day",
-                           PaperScenario.run_agent_day_reference):
+    with mock.patch.object(PaperScenario, "run_agents",
+                           PaperScenario.run_agents_reference):
         scalar, scalar_days = _run()
     batch, batch_days = _run()
     return scalar, scalar_days, batch, batch_days

@@ -2,17 +2,20 @@
 
 One scenario run with ``jobs > 1`` shards its agents across replicated
 worker processes (:mod:`repro.exec.shard`).  That must leave *no trace*
-in the outputs: capture records, ground truth, dispatch counters, and the
-journal byte stream are asserted identical to the serial run for every
-``jobs`` — the same contract the experiment pool upholds across runs,
-pushed down inside one.
+in the outputs: capture records, ground truth, dispatch counters, the
+journal byte stream and the honeypot state the parent ends with are
+asserted identical to the serial run for every ``jobs`` — the same
+contract the experiment pool upholds across runs, pushed down inside one.
 """
 
+import functools
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core.twinklenet import TwinklenetConfig
 from repro.exec.shard import shard_indices
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, run_scenario
@@ -51,6 +54,26 @@ def _assert_identical(a, b):
     ca, cb = a.scenario.counters, b.scenario.counters
     assert (ca.nta, ca.ntb, ca.ntc, ca.live_dropped, ca.unrouted) \
         == (cb.nta, cb.ntb, cb.ntc, cb.live_dropped, cb.unrouted)
+    assert _honeypot_state(a) == _honeypot_state(b)
+
+
+def _honeypot_state(result):
+    """Everything the NT-A honeypots hold at the end of a run."""
+    telescope = result.scenario.telescope
+    twinklenet = telescope.twinklenet
+    return {
+        "sessions": list(twinklenet._sessions.items()),
+        "evicted": twinklenet.sessions_evicted,
+        "completed": twinklenet.sessions_completed,
+        "rx_tx": (twinklenet.rx_count, twinklenet.tx_count),
+        "last_sweep": twinklenet._last_sweep,
+        "replies": telescope.response_count,
+        "gateways": {
+            name: (list(gw.nat_log), gw._next_port, gw.rx_count,
+                   gw.tx_count, gw.tpot.interactions)
+            for name, gw in telescope.gateways.items()
+        },
+    }
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +118,46 @@ class TestShardedEquivalence:
                                        set()).add(record["prefix"])
         assert any(len(prefixes) > 1 for prefixes in cancel_days.values()), \
             "fixture no longer exercises same-day multi-prefix withdrawal"
+
+
+#: A Twinklenet session cap low enough to bind at the cap-pressure
+#: config's volume, so sessions of different agents evict each other.
+CAP = 64
+
+
+def _capped():
+    return mock.patch("repro.core.proactive.TwinklenetConfig",
+                      functools.partial(TwinklenetConfig, max_sessions=CAP))
+
+
+@pytest.fixture(scope="module")
+def capped_serial():
+    with _capped():
+        return _run(_config(volume_scale=1e-3))
+
+
+class TestShardedHoneypotState:
+    """Workers only emit; the parent dispatches and reacts.  So a sharded
+    run's parent owns the same honeypot tables a serial run builds, even
+    when the session cap makes every agent's traffic compete for one
+    table."""
+
+    def test_cap_binds_across_agents(self, capped_serial):
+        result, _ = capped_serial
+        twinklenet = result.scenario.telescope.twinklenet
+        assert twinklenet.config.max_sessions == CAP
+        uncapped, _ = _run(_config(volume_scale=1e-3))
+        assert twinklenet.sessions_evicted \
+            > uncapped.scenario.telescope.twinklenet.sessions_evicted
+        peers = {key[0] >> 96 for key in twinklenet._sessions}
+        assert len(peers) > 1
+        assert all(len(gw.nat_log)
+                   for gw in result.scenario.telescope.gateways.values())
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_sharded_matches_serial(self, capped_serial, jobs):
+        serial_result, serial_journal = capped_serial
+        with _capped():
+            sharded, journal = _run(_config(volume_scale=1e-3), jobs=jobs)
+        _assert_identical(serial_result, sharded)
+        assert journal == serial_journal

@@ -178,9 +178,56 @@ class TestCli:
         assert get_tracer() is NULL_TRACER
         assert get_journal() is NULL_JOURNAL
 
+    def test_sharded_metrics_report_parent_dispatch(self, capsys, tmp_path):
+        """Under --jobs the parent dispatches and reacts, so its snapshot
+        carries the scenario.dispatch timer and the same Twinklenet and
+        T-Pot counters as a serial run (30 days: every T-Pot is live)."""
+        import json
+
+        snapshots = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"metrics{jobs}.json"
+            assert main([
+                "run", "--days", "30", "--scale", "1e-4", "--tail", "20",
+                "--jobs", str(jobs), f"--metrics={path}",
+            ]) == 0
+            snapshots[jobs] = json.loads(path.read_text())
+        capsys.readouterr()
+        serial, sharded = snapshots[1], snapshots[2]
+        for snapshot in (serial, sharded):
+            # One dispatch per simulated day.
+            assert snapshot["timings"]["scenario.dispatch"]["count"] == 30
+        honeypot = {name: value for name, value in serial["counters"].items()
+                    if name.startswith(("twinklenet.", "tpot."))}
+        assert honeypot["twinklenet.rx"] and honeypot["tpot.gateway.rx"]
+        assert {name: sharded["counters"].get(name)
+                for name in honeypot} == honeypot
+
     def test_trace_without_file_prints_table(self, capsys):
         assert main(["experiment", "table2", "--trace"]) == 0
         assert "== trace" in capsys.readouterr().out
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_stats(self):
+        """Process start pays for what the CLI uses: importing the CLI
+        module must not load ``scipy.stats`` (the BSTM fit needs only
+        ``scipy.optimize``)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.__main__; "
+             "print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert probe.stdout.strip() == "False"
 
 
 class TestCliListJson:
