@@ -238,8 +238,9 @@ def _cache_dir(args):
 
 
 def _mode_conflict(args) -> str | None:
-    """First mutually-exclusive option combination as a one-line message,
-    or None when the requested mode set is coherent.
+    """First mutually-exclusive option combination (or out-of-range
+    option value) as a one-line message, or None when the requested mode
+    set is coherent.
 
     Centralising the refusals keeps every combination to the same
     contract: one ``error:`` line on stderr, exit status 2, no traceback.
@@ -262,6 +263,9 @@ def _mode_conflict(args) -> str | None:
                 "segments are not captured by checkpoints)")
     if args.resume and not args.checkpoint:
         return "--resume requires --checkpoint (nothing to resume from)"
+    budget_mb = getattr(args, "spill_budget_mb", None)
+    if budget_mb is not None and budget_mb <= 0:
+        return f"--spill-budget-mb must be positive, got {budget_mb}"
     return None
 
 

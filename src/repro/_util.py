@@ -8,6 +8,7 @@ number of seconds from epoch 0).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,3 +101,12 @@ def weighted_choice(
         raise ValueError("weights must sum to a positive value")
     idx = rng.choice(len(items), p=w / total)
     return items[idx]
+
+
+def sha256_file(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for block in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()

@@ -4,8 +4,8 @@ figure-specific analyses (scope, tactics, Hilbert maps).
 """
 
 from repro.analysis.records import PacketRecords
-from repro.analysis.flows import Flow, aggregate_flows
-from repro.analysis.scandetect import ScanEvent, detect_scans
+from repro.analysis.flows import Flow, FlowTracker, aggregate_flows
+from repro.analysis.scandetect import ScanEvent, SessionTracker, detect_scans
 from repro.analysis.jaccard import jaccard_similarity, overlap_report
 from repro.analysis.asinfo import MetadataJoiner, SourceBreakdown
 from repro.analysis.bstm import BstmModel, CausalImpact
@@ -23,12 +23,7 @@ from repro.analysis.campaigns import (
     campaign_summary,
     cluster_campaigns,
 )
-from repro.analysis.streaming import (
-    FlowTracker,
-    SessionTracker,
-    StreamAnalyzer,
-    StreamSummary,
-)
+from repro.analysis.streaming import StreamAnalyzer, StreamSummary
 
 __all__ = [
     "PacketRecords",

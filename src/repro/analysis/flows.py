@@ -3,16 +3,26 @@
 Packets sharing a 5-tuple (src, dst, proto, sport, dport) within an
 inactivity timeout form one flow.  The paper used Zeek to aggregate captures
 into flows before analysis; this module provides the same building block.
+
+:class:`FlowTracker` is the one columnar implementation: it consumes
+time-ordered chunks and carries open flows across chunk boundaries with
+the synthetic carry rows of
+:class:`~repro.analysis.scandetect.SessionTracker`.
+:func:`aggregate_flows` is a single feed with an infinite horizon.  The
+per-packet loop is retained as :func:`aggregate_flows_reference` and
+cross-checked by randomized equivalence tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import check_positive
 from repro.analysis.records import PacketRecords
+from repro.analysis.scandetect import _carry_segments, _chunk_horizon
 from repro.obs import get_registry, get_tracer
 
 #: Zeek's default UDP/ICMP inactivity timeout is 60 s; TCP's is longer.  A
@@ -54,59 +64,169 @@ def aggregate_flows(
 
     Packets are processed in timestamp order; a packet extends an existing
     flow when it shares the 5-tuple and arrives within ``timeout`` of the
-    flow's last packet, otherwise it opens a new flow.
-
-    Columnar implementation: one lexsort by (5-tuple, timestamp) makes each
-    flow a contiguous run, split where the within-tuple gap exceeds the
-    timeout; Python only materializes the resulting :class:`Flow` objects.
-    The per-packet loop is retained as :func:`aggregate_flows_reference`.
+    flow's last packet, otherwise it opens a new flow.  One
+    :class:`FlowTracker` feed with an infinite horizon.
     """
     registry = get_registry()
     with registry.timer("analysis.aggregate_flows"), \
             get_tracer().span("analysis.aggregate_flows",
                               records=len(records)):
-        flows = _aggregate_flows_impl(records, timeout)
+        tracker = FlowTracker(timeout)
+        tracker.feed(records, now=math.inf)
+        flows = tracker.finish()
     registry.counter("analysis.aggregate_flows.records_in").inc(len(records))
     registry.counter("analysis.aggregate_flows.flows_out").inc(len(flows))
     return flows
 
 
-def _aggregate_flows_impl(records: PacketRecords, timeout: float) -> list[Flow]:
-    check_positive("timeout", timeout)
-    n = len(records)
-    if n == 0:
-        return []
-    ts = records.ts
-    tuple_cols = (records.src_hi, records.src_lo,
-                  records.dst_hi, records.dst_lo,
-                  records.proto, records.sport, records.dport)
-    # Primary keys: the 5-tuple columns; timestamp varies fastest.
-    order = np.lexsort((ts,) + tuple_cols[::-1])
-    cols = [c[order] for c in tuple_cols]
-    t = ts[order]
+class FlowTracker:
+    """Flow aggregation over time-ordered chunks.
 
-    new_flow = np.empty(n, dtype=bool)
-    new_flow[0] = True
-    split = t[1:] - t[:-1] > timeout
-    for c in cols:
-        split |= c[1:] != c[:-1]
-    new_flow[1:] = split
-    starts = np.flatnonzero(new_flow)
-    ends = np.append(starts[1:], n) - 1
-    counts = np.diff(np.append(starts, n))
+    The synthetic-carry construction of
+    :class:`~repro.analysis.scandetect.SessionTracker`, keyed by the
+    5-tuple.  Flows have no target sets, so the carry state is just
+    (first_seen, last_seen, packets) per open flow — with the default 60 s
+    inactivity timeout only flows active in a chunk's final minute survive
+    a day boundary.  Each feed is one lexsort by (5-tuple, timestamp),
+    split where the within-tuple gap exceeds the timeout; Python only
+    materializes the resulting :class:`Flow` objects.
+    """
 
-    # tolist() converts whole columns to Python scalars at C speed; the
-    # per-flow work below is just shifts and Flow construction.
-    rows = zip(*(c[starts].tolist() for c in cols),
-               t[starts].tolist(), t[ends].tolist(), counts.tolist())
-    flows = [
-        Flow(src=(sh << 64) | sl, dst=(dh << 64) | dl,
-             proto=pr, sport=sp, dport=dp,
-             first_seen=first, last_seen=last, packets=count)
-        for sh, sl, dh, dl, pr, sp, dp, first, last, count in rows
-    ]
-    flows.sort(key=_flow_order)
-    return flows
+    _TUPLE_DTYPES = (np.uint64, np.uint64, np.uint64, np.uint64,
+                     np.uint8, np.uint16, np.uint16)
+
+    def __init__(self, timeout: float = DEFAULT_FLOW_TIMEOUT):
+        check_positive("timeout", timeout)
+        self.timeout = timeout
+        self._watermark = -math.inf
+        self._flows: list[Flow] = []
+        self._keys: list[tuple] = []  # (sh, sl, dh, dl, proto, sport, dport)
+        self._first: list[float] = []
+        self._last: list[float] = []
+        self._packets: list[int] = []
+
+    @property
+    def open_flows(self) -> int:
+        return len(self._keys)
+
+    def _emit(self, key: tuple, first: float, last: float,
+              packets: int) -> None:
+        sh, sl, dh, dl, proto, sport, dport = key
+        self._flows.append(Flow(
+            src=(sh << 64) | sl, dst=(dh << 64) | dl,
+            proto=proto, sport=sport, dport=dport,
+            first_seen=first, last_seen=last, packets=packets))
+
+    def feed(self, records: PacketRecords, now: float | None = None) -> int:
+        """Consume one chunk; returns the number of flows closed."""
+        horizon = _chunk_horizon(records, self._watermark, now)
+        self._watermark = horizon
+        n, k = len(records), len(self._keys)
+        if n + k == 0:
+            return 0
+        before = len(self._flows)
+        timeout = self.timeout
+        ts = records.ts
+        cols = [records.src_hi, records.src_lo,
+                records.dst_hi, records.dst_lo,
+                records.proto, records.sport, records.dport]
+        if k:
+            ts = np.concatenate([
+                np.asarray(self._last, dtype=np.float64), ts])
+            cols = [
+                np.concatenate([
+                    np.array([key[c] for key in self._keys], dtype=dtype),
+                    col])
+                for c, (col, dtype) in enumerate(
+                    zip(cols, self._TUPLE_DTYPES))
+            ]
+        # Primary keys: the 5-tuple columns; timestamp varies fastest.
+        order = np.lexsort((ts,) + tuple(cols[::-1]))
+        t = ts[order]
+        sc = [c[order] for c in cols]
+        m = n + k
+
+        tuple_change = np.zeros(m - 1, dtype=bool)
+        for c in sc:
+            tuple_change |= c[1:] != c[:-1]
+        new_seg = np.empty(m, dtype=bool)
+        new_seg[0] = True
+        new_seg[1:] = tuple_change | (t[1:] - t[:-1] > timeout)
+        starts = np.flatnonzero(new_seg)
+        seg_packets = np.diff(starts, append=m)
+        start_ts = t[starts]
+        end_ts = t[starts + seg_packets - 1]
+        first_orig, seg_carry, stay_open = _carry_segments(
+            order, starts, tuple_change, end_ts, k, horizon, timeout)
+        special = seg_carry | stay_open
+
+        plain = np.flatnonzero(~special)
+        if plain.size:
+            rows = starts[plain]
+            flows = self._flows
+            # tolist() converts whole columns to Python scalars at C
+            # speed; the per-flow work is just shifts and construction.
+            packed_rows = zip(*(c[rows].tolist() for c in sc),
+                              start_ts[plain].tolist(),
+                              end_ts[plain].tolist(),
+                              seg_packets[plain].tolist())
+            for sh, sl, dh, dl, pr, sp, dp, f, last, count in packed_rows:
+                flows.append(Flow(
+                    src=(sh << 64) | sl, dst=(dh << 64) | dl,
+                    proto=pr, sport=sp, dport=dp,
+                    first_seen=f, last_seen=last, packets=count))
+
+        new_keys: list[tuple] = []
+        new_first: list[float] = []
+        new_last: list[float] = []
+        new_packets: list[int] = []
+        for i in np.flatnonzero(special).tolist():
+            stays = bool(stay_open[i])
+            if seg_carry[i]:
+                o = int(first_orig[i])
+                if int(seg_packets[i]) == 1:
+                    if stays:
+                        new_keys.append(self._keys[o])
+                        new_first.append(self._first[o])
+                        new_last.append(self._last[o])
+                        new_packets.append(self._packets[o])
+                    else:
+                        self._emit(self._keys[o], self._first[o],
+                                   self._last[o], self._packets[o])
+                    continue
+                key = self._keys[o]
+                first = self._first[o]
+                packets = self._packets[o] + int(seg_packets[i]) - 1
+            else:
+                row = int(starts[i])
+                key = tuple(int(c[row]) for c in sc)
+                first = float(start_ts[i])
+                packets = int(seg_packets[i])
+            if stays:
+                new_keys.append(key)
+                new_first.append(first)
+                new_last.append(float(end_ts[i]))
+                new_packets.append(packets)
+            else:
+                self._emit(key, first, float(end_ts[i]), packets)
+
+        self._keys = new_keys
+        self._first = new_first
+        self._last = new_last
+        self._packets = new_packets
+        return len(self._flows) - before
+
+    def finish(self) -> list[Flow]:
+        """Close every open flow and return the full sorted flow list."""
+        for i in range(len(self._keys)):
+            self._emit(self._keys[i], self._first[i], self._last[i],
+                       self._packets[i])
+        self._keys = []
+        self._first = []
+        self._last = []
+        self._packets = []
+        self._flows.sort(key=_flow_order)
+        return list(self._flows)
 
 
 def aggregate_flows_reference(

@@ -185,7 +185,7 @@ def truth_events(
     order = np.lexsort((ts, origin))
     o = origin[order]
     t = ts[order]
-    starts, packets, start_ts, end_ts, uniq = sessionize(
+    starts, packets, start_ts, end_ts, uniq, _, _ = sessionize(
         o[1:] != o[:-1], t,
         truth.dst_hi[known][order], truth.dst_lo[known][order],
         timeout,

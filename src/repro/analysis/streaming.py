@@ -1,553 +1,33 @@
-"""Incremental (online) scan detection and flow aggregation.
+"""Online analysis bundle for streaming runs.
 
-:func:`~repro.analysis.scandetect.detect_scans` and
-:func:`~repro.analysis.flows.aggregate_flows` lexsort the *entire run* at
-the end — memory scales with total packet count.  This module evaluates the
-same definitions online: a :class:`SessionTracker` (and its 5-tuple
-sibling :class:`FlowTracker`) consumes per-day :class:`PacketRecords`
-chunks, carries open sessions across chunk boundaries, and emits exactly
-the event list the batch path would — element-identical at every
-aggregation level, pinned by randomized equivalence tests.
-
-The trick that keeps each chunk fully columnar is the **synthetic carry
-row**: every open session contributes one sentinel row (timestamp = the
-session's last packet, destination = one of its already-counted targets)
-that is prepended to the chunk before the per-chunk lexsort.  The ordinary
-gap rule then decides continuation for free — if the session's first real
-packet in this chunk arrives within the timeout, it lands in the sentinel's
-segment and the session extends; if not, the sentinel forms a lone segment
-and the carried session closes with its stored stats.  Because the
-sentinel's destination is already a member of the open session's target
-set, the segment's unique-target union is unpolluted.  Only segments that
-touch a carry row or survive the chunk's horizon are handled in Python;
-everything else — the overwhelming majority — closes through the same
-vectorized path as the batch kernel.
-
-Memory is O(open sessions + one chunk), never O(run): at each feed
-boundary any session whose last packet is more than a timeout behind the
-chunk horizon is finalized (no future packet can extend it), so the carry
-state tracks only currently-active sources.
+A streaming run (``run_scenario(stream_analysis=True)``) never keeps the
+horizon's records: each day boundary drains one
+:class:`~repro.analysis.records.PacketRecords` chunk per telescope and
+hands it to that telescope's :class:`StreamAnalyzer`.  The analyzer feeds
+the chunk to one :class:`~repro.analysis.scandetect.SessionTracker` per
+aggregation level and, optionally, a
+:class:`~repro.analysis.flows.FlowTracker`.  These trackers are the same
+code that :func:`~repro.analysis.scandetect.detect_scans` and
+:func:`~repro.analysis.flows.aggregate_flows` run in one feed, so a
+finished :class:`StreamSummary` holds exactly the batch event and flow
+lists, at O(open sessions + one day) memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro._util import check_positive
-from repro.analysis.flows import DEFAULT_FLOW_TIMEOUT, Flow, _flow_order
+from repro.analysis.flows import DEFAULT_FLOW_TIMEOUT, Flow, FlowTracker
 from repro.analysis.records import PacketRecords
 from repro.analysis.scandetect import (
     DEFAULT_MIN_TARGETS,
     DEFAULT_TIMEOUT,
     ScanEvent,
-    _event_order,
-    _validate,
+    SessionTracker,
 )
-from repro.net.addr import mask_u64, pack_key_u64
 
 #: The paper's three source-aggregation levels, in report order.
 SCAN_LEVELS = (128, 64, 48)
-
-_NEG_INF = float("-inf")
-
-
-class SessionTracker:
-    """Online equivalent of :func:`~repro.analysis.scandetect.detect_scans`.
-
-    Feed time-ordered chunks (each chunk may be internally unsorted, but no
-    chunk may contain a timestamp earlier than a previous chunk's horizon);
-    call :meth:`finish` for the final event list.  The emitted events are
-    element-identical — same fields, same order — to running the batch
-    detector over the concatenation of every chunk.
-    """
-
-    def __init__(
-        self,
-        source_length: int = 64,
-        min_targets: int = DEFAULT_MIN_TARGETS,
-        timeout: float = DEFAULT_TIMEOUT,
-    ):
-        _validate(min_targets, timeout)
-        if not 0 <= source_length <= 128:
-            raise ValueError(
-                f"prefix length must be in [0, 128], got {source_length}")
-        self.source_length = source_length
-        self.min_targets = min_targets
-        self.timeout = timeout
-        self._watermark = _NEG_INF
-        self._events: list[ScanEvent] = []
-        # Open-session carry state, parallel lists.  Keys are python ints
-        # (packed, length <= 64) or (hi, lo) tuples; targets are sorted
-        # unique (hi, lo) uint64 arrays — 16 bytes per distinct target,
-        # the tracker's only per-session payload.
-        self._keys: list = []
-        self._start: list[float] = []
-        self._last: list[float] = []
-        self._packets: list[int] = []
-        self._targets: list[tuple[np.ndarray, np.ndarray]] = []
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def open_sessions(self) -> int:
-        return len(self._keys)
-
-    @property
-    def events_closed(self) -> int:
-        return len(self._events)
-
-    def carry_bytes(self) -> int:
-        """Approximate size of the open-session target payload."""
-        return sum(hi.nbytes + lo.nbytes for hi, lo in self._targets)
-
-    # -- internals --------------------------------------------------------
-
-    def _source_of(self, key) -> int:
-        if isinstance(key, tuple):
-            return (key[0] << 64) | key[1]
-        return key << 64
-
-    def _emit(self, key, start: float, end: float,
-              packets: int, uniq: int) -> None:
-        if uniq >= self.min_targets:
-            self._events.append(ScanEvent(
-                source=self._source_of(key),
-                source_length=self.source_length,
-                start=start, end=end,
-                packets=packets, unique_targets=uniq,
-            ))
-
-    @staticmethod
-    def _union(targets: tuple[np.ndarray, np.ndarray],
-               add_hi: np.ndarray, add_lo: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        hi = np.concatenate([targets[0], add_hi])
-        lo = np.concatenate([targets[1], add_lo])
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        keep = np.empty(len(hi), dtype=bool)
-        keep[0] = True
-        keep[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-        return hi[keep], lo[keep]
-
-    def _expire(self, horizon: float) -> None:
-        """Finalize open sessions no future packet can extend.
-
-        Strict inequality: a future packet arrives at ts >= horizon, so a
-        session with last == horizon - timeout sits at gap == timeout —
-        which the gap rule (strictly >) still merges.
-        """
-        keep = [i for i, last in enumerate(self._last)
-                if last >= horizon - self.timeout]
-        if len(keep) == len(self._keys):
-            return
-        for i, last in enumerate(self._last):
-            if last < horizon - self.timeout:
-                self._emit(self._keys[i], self._start[i], last,
-                           self._packets[i], len(self._targets[i][0]))
-        self._keys = [self._keys[i] for i in keep]
-        self._start = [self._start[i] for i in keep]
-        self._last = [self._last[i] for i in keep]
-        self._packets = [self._packets[i] for i in keep]
-        self._targets = [self._targets[i] for i in keep]
-
-    # -- the per-chunk kernel ---------------------------------------------
-
-    def feed(self, records: PacketRecords, now: float | None = None) -> int:
-        """Consume one chunk; returns the number of events closed.
-
-        ``now`` is the chunk horizon (defaults to the chunk's max
-        timestamp): the tracker may finalize any session idle for more
-        than a timeout before it, so later chunks must not carry earlier
-        timestamps.
-        """
-        n = len(records)
-        k = len(self._keys)
-        before = len(self._events)
-        if n:
-            t_lo = float(records.ts.min())
-            if t_lo < self._watermark:
-                raise ValueError(
-                    f"out-of-order feed: chunk starts at {t_lo}, before "
-                    f"the tracker's horizon {self._watermark}")
-        horizon = self._watermark
-        if now is not None:
-            horizon = max(horizon, float(now))
-        if n:
-            horizon = max(horizon, float(records.ts.max()))
-        if n == 0:
-            self._expire(horizon)
-            self._watermark = horizon
-            return len(self._events) - before
-
-        length = self.source_length
-        timeout = self.timeout
-
-        # Columns with the k synthetic carry rows prepended (index < k in
-        # the original order identifies them after the sort).
-        ts = records.ts
-        dst_hi, dst_lo = records.dst_hi, records.dst_lo
-        if k:
-            ts = np.concatenate([
-                np.asarray(self._last, dtype=np.float64), ts])
-            dst_hi = np.concatenate([
-                np.array([t[0][0] for t in self._targets], dtype=np.uint64),
-                dst_hi])
-            dst_lo = np.concatenate([
-                np.array([t[1][0] for t in self._targets], dtype=np.uint64),
-                dst_lo])
-
-        packed = pack_key_u64(records.src_hi, records.src_lo, length)
-        if packed is not None:
-            if k:
-                packed = np.concatenate([
-                    np.asarray(self._keys, dtype=np.uint64), packed])
-            # Stable lexsort: a carry row ties with a real row only at the
-            # watermark, and concatenation order keeps it first.
-            order = np.lexsort((ts, packed))
-            key_hi, key_lo = packed[order], None
-            group_change = key_hi[1:] != key_hi[:-1]
-        else:
-            mhi, mlo = mask_u64(records.src_hi, records.src_lo, length)
-            if k:
-                mhi = np.concatenate([
-                    np.array([key[0] for key in self._keys],
-                             dtype=np.uint64), mhi])
-                mlo = np.concatenate([
-                    np.array([key[1] for key in self._keys],
-                             dtype=np.uint64), mlo])
-            order = np.lexsort((ts, mlo, mhi))
-            key_hi, key_lo = mhi[order], mlo[order]
-            group_change = ((key_hi[1:] != key_hi[:-1])
-                            | (key_lo[1:] != key_lo[:-1]))
-        t = ts[order]
-        dh = dst_hi[order]
-        dl = dst_lo[order]
-        m = n + k
-
-        # Same segmentation as the batch kernel (sessionize), inlined to
-        # keep the per-segment unique-target *slices*, not just counts.
-        new_seg = np.empty(m, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = group_change | (t[1:] - t[:-1] > timeout)
-        seg_of = np.cumsum(new_seg) - 1
-        starts = np.flatnonzero(new_seg)
-        n_segs = len(starts)
-        seg_packets = np.diff(starts, append=m)
-        ends = starts + seg_packets - 1
-        start_ts = t[starts]
-        end_ts = t[ends]
-
-        ord2 = np.lexsort((dl, dh, seg_of))
-        s2, h2, l2 = seg_of[ord2], dh[ord2], dl[ord2]
-        first = np.empty(m, dtype=bool)
-        first[0] = True
-        first[1:] = ((s2[1:] != s2[:-1]) | (h2[1:] != h2[:-1])
-                     | (l2[1:] != l2[:-1]))
-        u_hi, u_lo = h2[first], l2[first]
-        uniq_counts = np.bincount(s2[first], minlength=n_segs)
-        u_off = np.zeros(n_segs + 1, dtype=np.int64)
-        np.cumsum(uniq_counts, out=u_off[1:])
-
-        # Segment classification.  A carry row sorts first in its group
-        # (its timestamp precedes every chunk row of the same source), so
-        # it can only be a segment's first row; and a non-final segment of
-        # a group is followed by a > timeout gap, so only group-final
-        # segments can reach past the horizon's timeout window.
-        gc_full = np.empty(m, dtype=bool)
-        gc_full[0] = True
-        gc_full[1:] = group_change
-        seg_new_group = gc_full[starts]
-        seg_last = np.empty(n_segs, dtype=bool)
-        seg_last[:-1] = seg_new_group[1:]
-        seg_last[-1] = True
-        first_orig = order[starts]
-        seg_carry = first_orig < k
-        # >= : a segment ending exactly a timeout before the horizon can
-        # still merge with a row at ts == horizon (the gap rule is > ).
-        stay_open = seg_last & (end_ts >= horizon - timeout)
-        special = seg_carry | stay_open
-
-        # Vectorized close of every plain segment (no carry, not staying
-        # open) — the hot path, identical math to the batch detector.
-        qual = np.flatnonzero(~special & (uniq_counts >= self.min_targets))
-        if qual.size:
-            rows = starts[qual]
-            if key_lo is None:
-                sources = [v << 64 for v in key_hi[rows].tolist()]
-            else:
-                sources = [(hv << 64) | lv for hv, lv in
-                           zip(key_hi[rows].tolist(), key_lo[rows].tolist())]
-            events = self._events
-            for source, s, e, p, u in zip(
-                    sources, start_ts[qual].tolist(), end_ts[qual].tolist(),
-                    seg_packets[qual].tolist(), uniq_counts[qual].tolist()):
-                events.append(ScanEvent(
-                    source=source, source_length=length,
-                    start=s, end=e, packets=p, unique_targets=u))
-
-        # Python handles only carry-merges and the sessions that survive
-        # this chunk — O(active sources), not O(segments).
-        new_keys: list = []
-        new_start: list[float] = []
-        new_last: list[float] = []
-        new_packets: list[int] = []
-        new_targets: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in np.flatnonzero(special).tolist():
-            stays = bool(stay_open[i])
-            if seg_carry[i]:
-                o = int(first_orig[i])
-                if int(seg_packets[i]) == 1:
-                    # Idle carry: no chunk row joined this session.
-                    if stays:
-                        new_keys.append(self._keys[o])
-                        new_start.append(self._start[o])
-                        new_last.append(self._last[o])
-                        new_packets.append(self._packets[o])
-                        new_targets.append(self._targets[o])
-                    else:
-                        self._emit(self._keys[o], self._start[o],
-                                   self._last[o], self._packets[o],
-                                   len(self._targets[o][0]))
-                    continue
-                # Carried session extended by this segment.  The carry
-                # row's destination is already in the stored target set,
-                # so the union double-counts nothing; its packet is
-                # subtracted from the segment count.
-                key = self._keys[o]
-                start = self._start[o]
-                packets = self._packets[o] + int(seg_packets[i]) - 1
-                t_hi, t_lo = self._union(
-                    self._targets[o],
-                    u_hi[u_off[i]:u_off[i + 1]],
-                    u_lo[u_off[i]:u_off[i + 1]])
-            else:
-                row = int(starts[i])
-                key = (int(key_hi[row]) if key_lo is None
-                       else (int(key_hi[row]), int(key_lo[row])))
-                start = float(start_ts[i])
-                packets = int(seg_packets[i])
-                # Copy: the slices view this chunk's full unique array.
-                t_hi = u_hi[u_off[i]:u_off[i + 1]].copy()
-                t_lo = u_lo[u_off[i]:u_off[i + 1]].copy()
-            if stays:
-                new_keys.append(key)
-                new_start.append(start)
-                new_last.append(float(end_ts[i]))
-                new_packets.append(packets)
-                new_targets.append((t_hi, t_lo))
-            else:
-                self._emit(key, start, float(end_ts[i]), packets,
-                           len(t_hi))
-
-        self._keys = new_keys
-        self._start = new_start
-        self._last = new_last
-        self._packets = new_packets
-        self._targets = new_targets
-        self._watermark = horizon
-        return len(self._events) - before
-
-    def finish(self) -> list[ScanEvent]:
-        """Close every open session and return the full sorted event list.
-
-        Idempotent: a second call returns the same list.
-        """
-        for i in range(len(self._keys)):
-            self._emit(self._keys[i], self._start[i], self._last[i],
-                       self._packets[i], len(self._targets[i][0]))
-        self._keys = []
-        self._start = []
-        self._last = []
-        self._packets = []
-        self._targets = []
-        self._events.sort(key=_event_order)
-        return list(self._events)
-
-
-class FlowTracker:
-    """Online equivalent of :func:`~repro.analysis.flows.aggregate_flows`.
-
-    Same synthetic-carry construction as :class:`SessionTracker`, keyed by
-    the 5-tuple; flows have no target sets, so the carry state is just
-    (first_seen, last_seen, packets) per open flow — with the default 60 s
-    inactivity timeout only flows active in a chunk's final minute survive
-    a day boundary.
-    """
-
-    _TUPLE_DTYPES = (np.uint64, np.uint64, np.uint64, np.uint64,
-                     np.uint8, np.uint16, np.uint16)
-
-    def __init__(self, timeout: float = DEFAULT_FLOW_TIMEOUT):
-        check_positive("timeout", timeout)
-        self.timeout = timeout
-        self._watermark = _NEG_INF
-        self._flows: list[Flow] = []
-        self._keys: list[tuple] = []  # (sh, sl, dh, dl, proto, sport, dport)
-        self._first: list[float] = []
-        self._last: list[float] = []
-        self._packets: list[int] = []
-
-    @property
-    def open_flows(self) -> int:
-        return len(self._keys)
-
-    def _emit(self, key: tuple, first: float, last: float,
-              packets: int) -> None:
-        sh, sl, dh, dl, proto, sport, dport = key
-        self._flows.append(Flow(
-            src=(sh << 64) | sl, dst=(dh << 64) | dl,
-            proto=proto, sport=sport, dport=dport,
-            first_seen=first, last_seen=last, packets=packets))
-
-    def _expire(self, horizon: float) -> None:
-        keep = [i for i, last in enumerate(self._last)
-                if last >= horizon - self.timeout]
-        if len(keep) == len(self._keys):
-            return
-        for i, last in enumerate(self._last):
-            if last < horizon - self.timeout:
-                self._emit(self._keys[i], self._first[i], last,
-                           self._packets[i])
-        self._keys = [self._keys[i] for i in keep]
-        self._first = [self._first[i] for i in keep]
-        self._last = [self._last[i] for i in keep]
-        self._packets = [self._packets[i] for i in keep]
-
-    def feed(self, records: PacketRecords, now: float | None = None) -> int:
-        """Consume one chunk; returns the number of flows closed."""
-        n = len(records)
-        k = len(self._keys)
-        before = len(self._flows)
-        if n:
-            t_lo = float(records.ts.min())
-            if t_lo < self._watermark:
-                raise ValueError(
-                    f"out-of-order feed: chunk starts at {t_lo}, before "
-                    f"the tracker's horizon {self._watermark}")
-        horizon = self._watermark
-        if now is not None:
-            horizon = max(horizon, float(now))
-        if n:
-            horizon = max(horizon, float(records.ts.max()))
-        if n == 0:
-            self._expire(horizon)
-            self._watermark = horizon
-            return len(self._flows) - before
-
-        timeout = self.timeout
-        ts = records.ts
-        cols = [records.src_hi, records.src_lo,
-                records.dst_hi, records.dst_lo,
-                records.proto, records.sport, records.dport]
-        if k:
-            ts = np.concatenate([
-                np.asarray(self._last, dtype=np.float64), ts])
-            cols = [
-                np.concatenate([
-                    np.array([key[c] for key in self._keys], dtype=dtype),
-                    col])
-                for c, (col, dtype) in enumerate(
-                    zip(cols, self._TUPLE_DTYPES))
-            ]
-        order = np.lexsort((ts,) + tuple(cols[::-1]))
-        t = ts[order]
-        sc = [c[order] for c in cols]
-        m = n + k
-
-        tuple_change = np.zeros(m - 1, dtype=bool)
-        for c in sc:
-            tuple_change |= c[1:] != c[:-1]
-        new_seg = np.empty(m, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = tuple_change | (t[1:] - t[:-1] > timeout)
-        starts = np.flatnonzero(new_seg)
-        n_segs = len(starts)
-        seg_packets = np.diff(starts, append=m)
-        ends = starts + seg_packets - 1
-        start_ts = t[starts]
-        end_ts = t[ends]
-
-        tc_full = np.empty(m, dtype=bool)
-        tc_full[0] = True
-        tc_full[1:] = tuple_change
-        seg_new_group = tc_full[starts]
-        seg_last = np.empty(n_segs, dtype=bool)
-        seg_last[:-1] = seg_new_group[1:]
-        seg_last[-1] = True
-        first_orig = order[starts]
-        seg_carry = first_orig < k
-        stay_open = seg_last & (end_ts >= horizon - timeout)
-        special = seg_carry | stay_open
-
-        plain = np.flatnonzero(~special)
-        if plain.size:
-            rows = starts[plain]
-            flows = self._flows
-            packed_rows = zip(*(c[rows].tolist() for c in sc),
-                              start_ts[plain].tolist(),
-                              end_ts[plain].tolist(),
-                              seg_packets[plain].tolist())
-            for sh, sl, dh, dl, pr, sp, dp, f, last, count in packed_rows:
-                flows.append(Flow(
-                    src=(sh << 64) | sl, dst=(dh << 64) | dl,
-                    proto=pr, sport=sp, dport=dp,
-                    first_seen=f, last_seen=last, packets=count))
-
-        new_keys: list[tuple] = []
-        new_first: list[float] = []
-        new_last: list[float] = []
-        new_packets: list[int] = []
-        for i in np.flatnonzero(special).tolist():
-            stays = bool(stay_open[i])
-            if seg_carry[i]:
-                o = int(first_orig[i])
-                if int(seg_packets[i]) == 1:
-                    if stays:
-                        new_keys.append(self._keys[o])
-                        new_first.append(self._first[o])
-                        new_last.append(self._last[o])
-                        new_packets.append(self._packets[o])
-                    else:
-                        self._emit(self._keys[o], self._first[o],
-                                   self._last[o], self._packets[o])
-                    continue
-                key = self._keys[o]
-                first = self._first[o]
-                packets = self._packets[o] + int(seg_packets[i]) - 1
-            else:
-                row = int(starts[i])
-                key = tuple(int(c[row]) for c in sc)
-                first = float(start_ts[i])
-                packets = int(seg_packets[i])
-            if stays:
-                new_keys.append(key)
-                new_first.append(first)
-                new_last.append(float(end_ts[i]))
-                new_packets.append(packets)
-            else:
-                self._emit(key, first, float(end_ts[i]), packets)
-
-        self._keys = new_keys
-        self._first = new_first
-        self._last = new_last
-        self._packets = new_packets
-        self._watermark = horizon
-        return len(self._flows) - before
-
-    def finish(self) -> list[Flow]:
-        """Close every open flow and return the full sorted flow list."""
-        for i in range(len(self._keys)):
-            self._emit(self._keys[i], self._first[i], self._last[i],
-                       self._packets[i])
-        self._keys = []
-        self._first = []
-        self._last = []
-        self._packets = []
-        self._flows.sort(key=_flow_order)
-        return list(self._flows)
 
 
 @dataclass

@@ -28,13 +28,14 @@ chunk and all eight full-size concatenated copies alive at once.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 
+from repro._util import sha256_file
 from repro.net.batch import PacketBatch, WireBatch
 from repro.net.packet import Packet
 from repro.net.pcapstore import PacketWriter
@@ -64,12 +65,27 @@ def _batch_nbytes(batch: PacketBatch) -> int:
     return size
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for block in iter(lambda: stream.read(1024 * 1024), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def _fill_records(parts, total: int):
+    """Concatenate ``parts`` (``total`` rows) into one
+    :class:`~repro.analysis.records.PacketRecords`.
+
+    Output columns are preallocated at the final size and filled part by
+    part, so with a consuming iterator peak memory is one output copy plus
+    one part, not the eight full-size concatenations plus every source
+    part the naive ``np.concatenate`` construction held.
+    """
+    # Imported here to keep core importable without the analysis stack.
+    from repro.analysis.records import PacketRecords
+
+    out = {col: np.empty(total, dtype=dtype)
+           for col, dtype in _COLUMN_DTYPES.items()}
+    position = 0
+    for part in parts:
+        size = len(part)
+        for col in CAPTURE_COLUMNS:
+            out[col][position:position + size] = getattr(part, col)
+        position += size
+    return PacketRecords(**out)
 
 
 class SpillIntegrityError(RuntimeError):
@@ -116,7 +132,7 @@ class ChunkSpill:
             arrays["origin"] = sealed.origin
         with open(tmp, "wb") as stream:
             np.savez(stream, **arrays)
-        checksum = _sha256(tmp)
+        checksum = sha256_file(tmp)
         os.replace(tmp, path)
         self._segments.append({
             "file": filename, "sha256": checksum, "rows": len(sealed),
@@ -138,7 +154,7 @@ class ChunkSpill:
         time."""
         for segment in self._segments:
             path = self.directory / segment["file"]
-            if _sha256(path) != segment["sha256"]:
+            if sha256_file(path) != segment["sha256"]:
                 raise SpillIntegrityError(
                     f"spill segment {path} failed its checksum")
             with np.load(path) as data:
@@ -323,29 +339,10 @@ class PacketCapturer:
         records).  Spill mode is unnecessary underneath this — the buffer
         never outlives a day.
         """
-        from repro.analysis.records import PacketRecords
-
         self._flush_scalars()
-        if not self._chunks:
-            self._truth_chunks.clear()
-            self._buffered_bytes = 0
-            return PacketRecords.empty()
-        total = sum(len(c) for c in self._chunks)
-        out = {col: np.empty(total, dtype=dtype)
-               for col, dtype in _COLUMN_DTYPES.items()}
-        position = 0
-        chunks = self._chunks
-        for i in range(len(chunks)):
-            chunk = chunks[i]
-            chunks[i] = None
-            size = len(chunk)
-            for col in CAPTURE_COLUMNS:
-                out[col][position:position + size] = getattr(chunk, col)
-            position += size
-        self._chunks = []
         self._truth_chunks.clear()
-        self._buffered_bytes = 0
-        return PacketRecords(**out)
+        total = self.spilled_rows + sum(len(c) for c in self._chunks)
+        return _fill_records(self._consume_chunks(), total)
 
     def to_truth(self):
         """Freeze the provenance sidecar into
@@ -386,37 +383,18 @@ class PacketCapturer:
     def to_records(self):
         """Freeze into :class:`repro.analysis.records.PacketRecords`.
 
-        Output columns are preallocated at the final size and filled
-        chunk by chunk, with each chunk's (or spilled segment's) reference
-        released as it is consumed — peak memory is one output copy plus
-        one chunk, not the eight full-size concatenations plus every
-        source chunk the naive ``np.concatenate`` construction held.  The
-        chunk buffer is consumed into a cached frozen prefix, so repeated
-        freezes (and captures after a freeze) remain valid; the truth
-        sidecar is untouched.
+        The chunk buffer (spilled segments included) is consumed into a
+        cached frozen prefix, so repeated freezes (and captures after a
+        freeze) remain valid; the truth sidecar is untouched.
         """
-        # Imported here to keep core importable without the analysis stack.
-        from repro.analysis.records import PacketRecords
-
         self._flush_scalars()
-        spilled = self._spill.rows if self._spill is not None else 0
-        if not spilled and not self._chunks:
-            return (self._frozen if self._frozen is not None
-                    else PacketRecords.empty())
-        frozen = len(self._frozen) if self._frozen is not None else 0
-        total = frozen + spilled + sum(len(c) for c in self._chunks)
-        out = {col: np.empty(total, dtype=dtype)
-               for col, dtype in _COLUMN_DTYPES.items()}
-        position = 0
-        if self._frozen is not None:
-            for col in CAPTURE_COLUMNS:
-                out[col][:frozen] = getattr(self._frozen, col)
-            position = frozen
-            self._frozen = None
-        for chunk in self._consume_chunks():
-            size = len(chunk)
-            for col in CAPTURE_COLUMNS:
-                out[col][position:position + size] = getattr(chunk, col)
-            position += size
-        self._frozen = PacketRecords(**out)
+        if self._frozen is not None and not self.spilled_rows \
+                and not self._chunks:
+            return self._frozen
+        prefix = [] if self._frozen is None else [self._frozen]
+        self._frozen = None
+        total = (sum(len(part) for part in prefix) + self.spilled_rows
+                 + sum(len(c) for c in self._chunks))
+        self._frozen = _fill_records(
+            itertools.chain(prefix, self._consume_chunks()), total)
         return self._frozen

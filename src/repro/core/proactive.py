@@ -431,6 +431,43 @@ class ProactiveTelescope:
         for i in idx:
             self.twinklenet.handle(sub.packet_at(int(i)))
 
+    # -- checkpoint state ----------------------------------------------------
+
+    def honeypot_state(self) -> dict:
+        """The honeypots' traffic-derived state, for a scenario checkpoint.
+
+        A resume rebuilds the deployments by replay, but replay sends no
+        packets, so what the honeypots learned from traffic (session
+        table, NAT logs, reply and rx/tx counts, T-Pot interactions) rides
+        in the checkpoint.  Returned live: ``save_checkpoint`` pickles it
+        synchronously.
+        """
+        def fields(obj, names):
+            return {name: getattr(obj, name) for name in names}
+
+        return {
+            "response_count": self.response_count,
+            "twinklenet": fields(self.twinklenet,
+                                 Twinklenet.CHECKPOINT_FIELDS),
+            "gateways": {
+                name: (fields(gateway, DnatGateway.CHECKPOINT_FIELDS),
+                       gateway.tpot.interactions)
+                for name, gateway in self.gateways.items()
+            },
+        }
+
+    def restore_honeypot_state(self, state: dict) -> None:
+        """Load :meth:`honeypot_state` into a telescope whose deployments
+        have been replayed to the same day."""
+        self.response_count = state["response_count"]
+        for name, value in state["twinklenet"].items():
+            setattr(self.twinklenet, name, value)
+        for name, (fields, interactions) in state["gateways"].items():
+            gateway = self.gateways[name]
+            for field_name, value in fields.items():
+                setattr(gateway, field_name, value)
+            gateway.tpot.interactions = interactions
+
     # -- hitlist oracle ------------------------------------------------------
 
     def interaction_level(self, address: int, at: float) -> int:

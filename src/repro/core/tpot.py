@@ -340,6 +340,12 @@ class DnatGateway:
     prefix itself, and reverse-translates T-Pot responses on the way out.
     """
 
+    #: The traffic-derived state a scenario checkpoint carries (the T-Pot
+    #: behind it contributes its interaction log).
+    CHECKPOINT_FIELDS = ("nat_log", "_next_port", "_flows_d",
+                         "_flow_ports_d", "_flow_seen", "_pending_flows",
+                         "rx_count", "tx_count")
+
     def __init__(
         self,
         prefix: IPv6Prefix,

@@ -351,6 +351,12 @@ class Twinklenet:
     ``transmit`` callback (typically an
     :class:`~repro.net.iface.Interface`'s transmit)."""
 
+    #: The reaction state a scenario checkpoint carries: everything the
+    #: responder accumulates from traffic (its honeyprefix index is
+    #: rebuilt from the deployments a resume replays).
+    CHECKPOINT_FIELDS = ("_table", "sessions_completed", "sessions_evicted",
+                         "rx_count", "tx_count", "_last_sweep")
+
     def __init__(
         self,
         config: TwinklenetConfig,

@@ -50,6 +50,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._util import sha256_file
 from repro.exec.freeze import freeze_result
 from repro.obs import RunManifest, config_hash, get_journal, get_registry, get_tracer
 
@@ -58,14 +59,6 @@ CACHE_SCHEMA_VERSION = 1
 
 #: The record columns files inside one entry (fixed names, fixed set).
 _RECORD_FILES = ("nta.npz", "ntb.npz", "ntc.npz")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class CacheMiss(Exception):
@@ -167,7 +160,7 @@ class ScenarioCache:
                     "cache_schema": CACHE_SCHEMA_VERSION,
                     **RunManifest.from_config(config).to_record_fields(),
                     "truth": truth_files,
-                    "files": {f: _sha256(tmp / f) for f in files},
+                    "files": {f: sha256_file(tmp / f) for f in files},
                 }
                 # Self-checksum: the per-file digests cover every payload
                 # byte, this covers every manifest byte — so a bit flip
@@ -218,7 +211,7 @@ class ScenarioCache:
             path = entry / name
             if not path.is_file():
                 raise CacheMiss(f"missing file {name}")
-            if _sha256(path) != expected:
+            if sha256_file(path) != expected:
                 raise CacheMiss(f"checksum mismatch on {name}")
         return manifest
 

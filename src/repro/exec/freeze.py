@@ -98,18 +98,20 @@ def freeze_result(result):
 #
 # A checkpoint is the *plan-only fast-forward* contract: it stores what a
 # resumed process cannot cheaply recompute (the captured chunks, dispatch
-# counters, and the journal records emitted so far) and deliberately omits
-# what it can (engine queue, RNG states, scanner sessions).  Resume
-# rebuilds the scenario from its config and replays the covered days'
-# draws without sampling packets — see ``PaperScenario.replay_day`` — so
-# the live state after restore is bit-for-bit what an uninterrupted run
-# would hold at the same day boundary.
+# counters, honeypot state, and the journal records emitted so far) and
+# deliberately omits what it can (engine queue, RNG states, scanner
+# sessions).  Resume rebuilds the scenario from its config and replays
+# the covered days' draws without sampling packets — see
+# ``PaperScenario.replay_day`` — so the live state after restore is
+# bit-for-bit what an uninterrupted run would hold at the same day
+# boundary.
 
 #: Bump when the checkpoint layout changes; mismatched files are ignored
 #: (the resume falls back to a fresh run rather than crashing).
 #: 2: added ``streaming`` (open analyzer state for ``stream_analysis``).
 #: 3: added ``observatory`` (observer cursor for ``observe_dir`` runs).
-CHECKPOINT_PROTOCOL = 3
+#: 4: added ``honeypots`` (session table, NAT logs, reply counts).
+CHECKPOINT_PROTOCOL = 4
 
 
 @dataclass
@@ -129,6 +131,9 @@ class ScenarioCheckpoint:
     #: ``(record_type, fields)`` pairs — replayed verbatim on resume so
     #: the resumed journal is byte-identical to an uninterrupted one.
     journal_records: list
+    #: The NT-A honeypots' traffic-derived state
+    #: (:meth:`~repro.core.proactive.ProactiveTelescope.honeypot_state`).
+    honeypots: dict
     #: ``stream_analysis`` runs only: telescope name ->
     #: :class:`~repro.analysis.streaming.StreamAnalyzer` mid-run (open
     #: sessions, closed events, flow state).  None for batch runs — a
@@ -169,6 +174,7 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
             for key, cap in scenario.capturers().items()
         },
         journal_records=list(journal_records),
+        honeypots=scenario.telescope.honeypot_state(),
         streaming=streaming,
         observatory=observatory,
     )
@@ -214,13 +220,16 @@ def load_checkpoint(directory, config) -> ScenarioCheckpoint | None:
 
 
 def restore_checkpoint(scenario, checkpoint: ScenarioCheckpoint) -> None:
-    """Load a checkpoint's captures and counters into a rebuilt scenario.
+    """Load a checkpoint's captures, counters and honeypot state into a
+    rebuilt scenario already replayed to ``checkpoint.next_day``.
 
     Complements the replay fast-forward: replay re-derives the live
-    engine/RNG/session state, this restores the accumulated outputs.
+    engine/RNG/session state and the deployments, this restores the
+    accumulated outputs and what the honeypots learned from traffic.
     """
     for key, cap in scenario.capturers().items():
         chunks, truth_chunks = checkpoint.captures[key]
         cap.extend_chunks(chunks, truth_chunks)
     c = scenario.counters
     (c.nta, c.ntb, c.ntc, c.live_dropped, c.unrouted) = checkpoint.counters
+    scenario.telescope.restore_honeypot_state(checkpoint.honeypots)

@@ -1,12 +1,13 @@
 """Process-pool experiment executor.
 
-:func:`run_experiments` is the parallel counterpart of
-:func:`repro.experiments.report.run_all`: it partitions the selected
-experiment ids into *standalone* drivers (fig1/fig2/fig13, table2/5/6/7 —
-they build their own CDN vantage or need no data at all) and *scenario*
-consumers (everything analyzing the shared telescope run), obtains the
-scenario result once (from the on-disk cache when one is configured),
-and fans the per-experiment report sections out over a
+:func:`run_experiments` renders the consolidated report from the
+per-experiment sections of :mod:`repro.experiments.report`.  It
+partitions the selected experiment ids into *standalone* drivers
+(fig1/fig2/fig13, table2/5/6/7 — they build their own CDN vantage or
+need no data at all) and *scenario* consumers (everything analyzing the
+shared telescope run), obtains the scenario result once (from the
+on-disk cache when one is configured), and renders the sections in
+order — or, with ``jobs > 1``, fans them out over a
 ``ProcessPoolExecutor``.
 
 Determinism contract

@@ -24,7 +24,6 @@ from repro.observatory.observer import (
     ObservatoryError,
     ObservatoryState,
     day_file_path,
-    day_tactics,
     load_observer_day,
     observer_line,
     validate_observer,
@@ -38,7 +37,6 @@ __all__ = [
     "ObservatoryState",
     "SeriesDrift",
     "day_file_path",
-    "day_tactics",
     "list_day_files",
     "load_observer_day",
     "observer_line",

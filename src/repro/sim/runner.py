@@ -453,15 +453,15 @@ def _simulate(config, checkpoint, start_day, *, progress, jobs,
         with registry.timer("scenario.build"), \
                 tracer.span("scenario.build"):
             scenario = PaperScenario(config)
-            if checkpoint is not None:
-                from repro.exec.freeze import restore_checkpoint
-
-                restore_checkpoint(scenario, checkpoint)
             # A sharded run's parent never polls: its workers replay
             # their own agents, it advances the engine alone.
             with use_journal(None):
                 for day in range(start_day):
                     scenario.replay_day(day, agents=pool is None)
+            if checkpoint is not None:
+                from repro.exec.freeze import restore_checkpoint
+
+                restore_checkpoint(scenario, checkpoint)
             if spill_dir is not None:
                 for cap in scenario.capturers().values():
                     if spill_budget_bytes is not None:

@@ -20,7 +20,7 @@ from repro.analysis.jaccard import (
 )
 from repro.analysis.records import PacketRecords
 from repro.analysis.scope import scanner_scope
-from repro.analysis.tactics import label_tactics
+from repro.analysis.tactics import label_tactics, label_tactics_reference
 from repro.core.features import Feature
 from repro.core.honeyprefix import HoneyprefixConfig, IcmpMode, deploy_addresses
 from repro.datasets.asdb import AsCategory, AsDatabase, AsRecord
@@ -185,12 +185,47 @@ class TestTactics:
         hp.record(300.0, Feature.HITLIST)
         return hp
 
+    @pytest.mark.parametrize("source_length", (32, 48, 64))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_randomized_matches_reference(self, honeypot, seed,
+                                          source_length):
+        """The vectorized labeler equals the per-packet reference on mixed
+        ICMP/TCP/UDP probes to domain, hitlist, responsive and dark
+        addresses, before and after every feature time."""
+        rng = np.random.default_rng(seed)
+        targets = [HONEY.network | 0xD0, HONEY.network | 0x111,
+                   HONEY.network | 0xFFFF, *sorted(honeypot.responsive)[:6]]
+        base = IPv6Prefix.parse("2620:1::/32").network
+        packets = []
+        for _ in range(200):
+            ts = float(rng.uniform(0.0, 1_000.0))
+            src = (base | (int(rng.integers(16)) << 80)
+                   | (int(rng.integers(3)) << 64) | int(rng.integers(1, 9)))
+            dst = targets[int(rng.integers(len(targets)))]
+            kind = int(rng.integers(3))
+            if kind == 0:
+                packets.append(icmp_echo_request(ts, src, dst))
+            elif kind == 1:
+                packets.append(tcp_segment(
+                    ts, src, dst, 40_000, (22, 80, 443)[int(rng.integers(3))],
+                    TcpFlags.SYN))
+            else:
+                packets.append(udp_datagram(
+                    ts, src, dst, 40_000, (53, 123)[int(rng.integers(2))]))
+        records = PacketRecords.from_packets(packets)
+        report = label_tactics(records, honeypot, source_length)
+        assert report == label_tactics_reference(records, honeypot,
+                                                 source_length)
+        # Every source sits in one /32, so only /48 and /64 split them.
+        assert source_length == 32 or len(report.combos) > 1
+
     def test_icmp_vs_other(self, honeypot):
         records = PacketRecords.from_packets([
             icmp_echo_request(10.0, SRC_A, HONEY.network | 1),
             icmp_echo_request(11.0, SRC_A, HONEY.network | 0xFFFF),
         ])
         report = label_tactics(records, honeypot)
+        assert report == label_tactics_reference(records, honeypot)
         assert report.combos == {"IO": 1}
 
     def test_domain_vs_tls_by_time(self, honeypot):
@@ -201,6 +236,7 @@ class TestTactics:
                         TcpFlags.SYN),
         ])
         report = label_tactics(records, honeypot)
+        assert report == label_tactics_reference(records, honeypot)
         assert report.combos["D"] == 1   # pre-TLS: zone file
         assert report.combos["d"] == 1   # post-TLS: CT log
 
@@ -209,6 +245,7 @@ class TestTactics:
             icmp_echo_request(400.0, SRC_A, HONEY.network | 0x111),
         ])
         report = label_tactics(records, honeypot)
+        assert report == label_tactics_reference(records, honeypot)
         assert report.combos == {"H": 1}
         assert report.sources_using("H") == 1
 
@@ -219,6 +256,7 @@ class TestTactics:
             udp_datagram(10.0, SRC_A, udp_addr, 1, 53),
         ])
         report = label_tactics(records, honeypot)
+        assert report == label_tactics_reference(records, honeypot)
         assert report.combos == {"U": 1}
 
     def test_source_aggregation(self, honeypot):
@@ -228,6 +266,8 @@ class TestTactics:
             icmp_echo_request(11.0, base | 2, HONEY.network | 0xBAD),
         ])
         report = label_tactics(records, honeypot, source_length=48)
+        assert report == label_tactics_reference(records, honeypot,
+                                                 source_length=48)
         assert report.total_sources == 1
         assert report.combos == {"IO": 1}
 

@@ -1,9 +1,9 @@
-"""Streaming analysis equivalence: incremental trackers vs. batch.
+"""Streaming analysis equivalence: chunked trackers vs. the references.
 
-The online :class:`~repro.analysis.streaming.SessionTracker` and
-:class:`~repro.analysis.streaming.FlowTracker` must emit event/flow lists
-*element-identical* to the batch detectors (and their per-packet
-references) over the concatenation of the fed chunks — on randomized
+The online :class:`~repro.analysis.scandetect.SessionTracker` and
+:class:`~repro.analysis.flows.FlowTracker` must emit event/flow lists
+*element-identical* to the per-packet references (and to the one-feed
+batch calls) over the concatenation of the fed chunks — on randomized
 workloads with random chunk splits, tie-heavy quantized timestamps, empty
 feeds, sessions crossing chunk boundaries (the midnight case), and
 aggregation lengths on both sides of the 64-bit packing threshold.
@@ -15,14 +15,18 @@ import numpy as np
 import pytest
 
 from repro._util import DAY, HOUR
-from repro.analysis.flows import aggregate_flows, aggregate_flows_reference
-from repro.analysis.records import PacketRecords
-from repro.analysis.scandetect import detect_scans, detect_scans_reference
-from repro.analysis.streaming import (
+from repro.analysis.flows import (
     FlowTracker,
-    SessionTracker,
-    StreamAnalyzer,
+    aggregate_flows,
+    aggregate_flows_reference,
 )
+from repro.analysis.records import PacketRecords
+from repro.analysis.scandetect import (
+    SessionTracker,
+    detect_scans,
+    detect_scans_reference,
+)
+from repro.analysis.streaming import StreamAnalyzer
 from repro.net.packet import TCP, UDP, Packet, icmp_echo_request
 
 LENGTHS = (128, 64, 48, 0, 96)
@@ -93,7 +97,9 @@ class TestSessionTrackerEquivalence:
             if rng.integers(2):
                 tracker.feed(PacketRecords.empty())
             tracker.feed(chunk)
-        assert tracker.finish() == detect_scans(records, 64, 3, 100.0)
+        got = tracker.finish()
+        assert got == detect_scans(records, 64, 3, 100.0)
+        assert got == detect_scans_reference(records, 64, 3, 100.0)
 
     def test_midnight_crossing_session_single_event(self):
         """A scan straddling a day boundary, fed as two day chunks with
@@ -130,6 +136,7 @@ class TestSessionTrackerEquivalence:
         got = tracker.finish()
         assert len(got) == 2
         assert got == detect_scans(records, 64, 100)
+        assert got == detect_scans_reference(records, 64, 100)
 
     def test_idle_session_expires_between_feeds(self):
         """An empty feed whose horizon passes last+timeout finalizes the
@@ -181,6 +188,7 @@ class TestFlowTrackerEquivalence:
         tracker.feed(records.select(records.ts > 1000.0), now=1100.0)
         got = tracker.finish()
         assert got == aggregate_flows(records, timeout=60.0)
+        assert got == aggregate_flows_reference(records, timeout=60.0)
         assert len(got) == 1 and got[0].packets == 4
 
 
@@ -197,7 +205,11 @@ class TestStreamAnalyzer:
         for level in (128, 64, 48):
             assert summary.events[level] == detect_scans(
                 records, level, 5, 500.0)
+            assert summary.events[level] == detect_scans_reference(
+                records, level, 5, 500.0)
         assert summary.flows == aggregate_flows(records, timeout=60.0)
+        assert summary.flows == aggregate_flows_reference(records,
+                                                          timeout=60.0)
 
     def test_pickle_roundtrip_mid_run(self):
         """Checkpointing contract: a pickled analyzer resumes to the same

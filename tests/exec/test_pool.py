@@ -13,7 +13,7 @@ from repro.exec import (
     run_experiments,
 )
 from repro.experiments import EXPERIMENTS
-from repro.experiments.report import run_all
+from repro.experiments.report import render_header, render_section
 
 #: A fast mixed selection: two standalone drivers, two scenario consumers
 #: (one of them jobs-aware).
@@ -45,8 +45,12 @@ class TestIdHandling:
 
 
 class TestDeterminism:
-    def test_serial_matches_run_all(self, small_result):
-        expected = run_all(small_result, experiment_ids=MIXED_IDS)
+    def test_serial_matches_section_concatenation(self, small_result):
+        expected = render_header(small_result) + "".join(
+            render_section(experiment_id,
+                           small_result if EXPERIMENTS[experiment_id][1]
+                           else None)
+            for experiment_id in MIXED_IDS)
         actual = run_experiments(ids=MIXED_IDS, result=small_result, jobs=1)
         assert actual == expected
 

@@ -12,12 +12,15 @@ import json
 
 import pytest
 
-from repro.analysis.tactics import label_tactics
+from repro.analysis.tactics import (
+    day_tactics,
+    label_tactics,
+    label_tactics_reference,
+)
 from repro.obs import JournalTail
 from repro.observatory import (
     ObservatoryError,
     day_file_path,
-    day_tactics,
     list_day_files,
     load_observer_day,
     observer_line,
@@ -170,10 +173,11 @@ class TestDayTactics:
         for name in sorted(result.scenario.honeyprefixes):
             hp = result.scenario.honeyprefixes[name]
             selected = nta.select(nta.mask_dst_in(hp.prefix))
-            reference = label_tactics(selected, hp)
+            reference = label_tactics_reference(selected, hp)
             combos, sources = day_tactics(selected, hp)
             assert combos == reference.combos, name
             assert sources == reference.total_sources, name
+            assert label_tactics(selected, hp) == reference, name
             checked += bool(len(selected))
         assert checked > 0  # the scenario actually exercised the kernel
 

@@ -1,6 +1,6 @@
 """Checkpoint/resume equivalence: a run killed mid-horizon and resumed
 must be byte-identical — journal, capture records, counters, ground
-truth — to one that ran uninterrupted.
+truth, honeypot state — to one that ran uninterrupted.
 
 The kill is simulated with ``run_scenario(abort_after_day=...)``, which
 raises :class:`SimulationAborted` at the same point a real SIGKILL
@@ -13,18 +13,15 @@ records.
 import io
 import shutil
 
-import numpy as np
 import pytest
 
 from repro.exec.freeze import load_checkpoint
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
+from tests.sim.equivalence import assert_identical
 
 DAYS = 12
 CADENCE = 4
-
-COLUMNS = ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
-           "proto", "sport", "dport")
 
 
 def _config():
@@ -41,22 +38,6 @@ def _run(checkpoint_dir, **kwargs):
         result = run_scenario(_config(), checkpoint_dir=checkpoint_dir,
                               checkpoint_every=CADENCE, **kwargs)
     return result, buffer.getvalue()
-
-
-def _assert_identical(a, b):
-    for name in ("nta", "ntb", "ntc"):
-        ra, rb = getattr(a, name), getattr(b, name)
-        assert len(ra) == len(rb), name
-        for column in COLUMNS:
-            assert np.array_equal(getattr(ra, column),
-                                  getattr(rb, column)), (name, column)
-    for name, ta in a.truth.items():
-        tb = b.truth[name]
-        assert np.array_equal(ta.origin, tb.origin), name
-        assert np.array_equal(ta.ts, tb.ts), name
-    ca, cb = a.scenario.counters, b.scenario.counters
-    assert (ca.nta, ca.ntb, ca.ntc, ca.live_dropped, ca.unrouted) \
-        == (cb.nta, cb.ntb, cb.ntc, cb.live_dropped, cb.unrouted)
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +71,13 @@ class TestResumeSerial:
         with pytest.raises(SimulationAborted):
             _run(tmp_path, abort_after_day=5)
         resumed, journal = _run(tmp_path, resume=True)
-        _assert_identical(base_result, resumed)
+        assert_identical(base_result, resumed)
         assert journal == base_journal
 
     def test_resume_without_checkpoint_runs_fresh(self, baseline, tmp_path):
         base_result, base_journal = baseline
         result, journal = _run(tmp_path, resume=True)
-        _assert_identical(base_result, result)
+        assert_identical(base_result, result)
         assert journal == base_journal
 
     def test_stale_checkpoint_is_ignored(self, baseline, tmp_path):
@@ -111,7 +92,7 @@ class TestResumeSerial:
                              checkpoint_every=CADENCE, abort_after_day=5)
         assert load_checkpoint(tmp_path, _config()) is None
         result, journal = _run(tmp_path, resume=True)
-        _assert_identical(base_result, result)
+        assert_identical(base_result, result)
         assert journal == base_journal
 
 
@@ -122,7 +103,7 @@ class TestResumeSharded:
         with pytest.raises(SimulationAborted):
             _run(tmp_path, jobs=2, abort_after_day=5)
         resumed, journal = _run(tmp_path, jobs=2, resume=True)
-        _assert_identical(base_result, resumed)
+        assert_identical(base_result, resumed)
         assert journal == base_journal
 
     def test_cross_mode_resume(self, baseline, tmp_path):
@@ -132,7 +113,7 @@ class TestResumeSharded:
         with pytest.raises(SimulationAborted):
             _run(tmp_path, jobs=2, abort_after_day=5)
         resumed, journal = _run(tmp_path, resume=True)
-        _assert_identical(base_result, resumed)
+        assert_identical(base_result, resumed)
         assert journal == base_journal
 
     @pytest.mark.parametrize("killed_jobs", [1, 2])
@@ -160,5 +141,5 @@ class TestResumeSharded:
                     checkpoint_every=2, resume=True, jobs=jobs)
             runs.append((result, buffer.getvalue()))
         (serial, serial_journal), (sharded, sharded_journal) = runs
-        _assert_identical(serial, sharded)
+        assert_identical(serial, sharded)
         assert sharded_journal == serial_journal

@@ -12,18 +12,15 @@ import functools
 import io
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.core.twinklenet import TwinklenetConfig
 from repro.exec.shard import shard_indices
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, run_scenario
+from tests.sim.equivalence import assert_identical
 
 DAYS = 10
-
-COLUMNS = ("ts", "src_hi", "src_lo", "dst_hi", "dst_lo",
-           "proto", "sport", "dport")
 
 
 def _config(**overrides):
@@ -39,41 +36,6 @@ def _run(config, **kwargs):
     with use_journal(Journal(buffer)):
         result = run_scenario(config, **kwargs)
     return result, buffer.getvalue()
-
-
-def _assert_identical(a, b):
-    for name in ("nta", "ntb", "ntc"):
-        ra, rb = getattr(a, name), getattr(b, name)
-        assert len(ra) == len(rb), name
-        for column in COLUMNS:
-            assert np.array_equal(getattr(ra, column),
-                                  getattr(rb, column)), (name, column)
-    for name, ta in a.truth.items():
-        tb = b.truth[name]
-        assert np.array_equal(ta.origin, tb.origin), name
-    ca, cb = a.scenario.counters, b.scenario.counters
-    assert (ca.nta, ca.ntb, ca.ntc, ca.live_dropped, ca.unrouted) \
-        == (cb.nta, cb.ntb, cb.ntc, cb.live_dropped, cb.unrouted)
-    assert _honeypot_state(a) == _honeypot_state(b)
-
-
-def _honeypot_state(result):
-    """Everything the NT-A honeypots hold at the end of a run."""
-    telescope = result.scenario.telescope
-    twinklenet = telescope.twinklenet
-    return {
-        "sessions": list(twinklenet._sessions.items()),
-        "evicted": twinklenet.sessions_evicted,
-        "completed": twinklenet.sessions_completed,
-        "rx_tx": (twinklenet.rx_count, twinklenet.tx_count),
-        "last_sweep": twinklenet._last_sweep,
-        "replies": telescope.response_count,
-        "gateways": {
-            name: (list(gw.nat_log), gw._next_port, gw.rx_count,
-                   gw.tx_count, gw.tpot.interactions)
-            for name, gw in telescope.gateways.items()
-        },
-    }
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +58,7 @@ class TestShardedEquivalence:
     def test_jobs_byte_identical_to_serial(self, serial, jobs):
         serial_result, serial_journal = serial
         sharded, journal = _run(_config(), jobs=jobs)
-        _assert_identical(serial_result, sharded)
+        assert_identical(serial_result, sharded)
         assert journal == serial_journal
 
     def test_same_day_withdrawals_keep_event_order(self, serial):
@@ -159,5 +121,5 @@ class TestShardedHoneypotState:
         serial_result, serial_journal = capped_serial
         with _capped():
             sharded, journal = _run(_config(volume_scale=1e-3), jobs=jobs)
-        _assert_identical(serial_result, sharded)
+        assert_identical(serial_result, sharded)
         assert journal == serial_journal

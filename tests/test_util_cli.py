@@ -257,7 +257,8 @@ class TestCliListJson:
 
 
 class TestCliModeConflicts:
-    """Every mutually-exclusive mode combo: one clean error line, exit 2."""
+    """Every mutually-exclusive mode combo (and out-of-range option
+    value): one clean error line, exit 2."""
 
     CONFLICTS = [
         (["run", "--stream", "--cache"], "--stream is incompatible"),
@@ -268,6 +269,8 @@ class TestCliModeConflicts:
         (["experiment", "table1", "--resume"],
          "--resume requires --checkpoint"),
         (["observe", "--cache"], "--stream is incompatible with --cache"),
+        (["run", "--spill", "--spill-budget-mb", "0"],
+         "--spill-budget-mb must be positive"),
     ]
 
     @pytest.mark.parametrize("argv,message", CONFLICTS,
