@@ -27,7 +27,7 @@ def main() -> None:
         withdraw_after_days=30,
     )
     print("building the Internet + telescope + scanner ecosystem ...")
-    result = run_scenario(config, progress=True)
+    result = run_scenario(config)
 
     print()
     print(table1(result).render())

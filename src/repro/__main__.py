@@ -28,15 +28,20 @@ invocation):
   per-day progress, session/honeyprefix lifecycle, detection summaries)
   to ``FILE`` (default ``journal.jsonl``);
 * ``--cache[=DIR]`` — reuse/store the scenario result in an on-disk cache
-  (default ``.cache``); ``--no-cache`` ignores any configured cache;
+  (default ``.cache``);
 * ``--checkpoint[=DIR]`` — save a resumable engine-state checkpoint every
-  ``--checkpoint-every`` days (default dir ``.checkpoints``); ``--resume``
-  picks up from the last checkpoint instead of starting at day zero.
+  ``--checkpoint-every`` days (default dir ``.checkpoints``); a run killed
+  mid-horizon picks up from its last checkpoint when the same command is
+  run again, and a completed run deletes its checkpoint.
 
 ``run`` additionally takes ``--jobs N`` (shard the day loop's agents
 across ``N`` worker processes), which produces byte-identical results to
 a serial run.  ``experiment`` takes ``--jobs N`` to render report sections
 in ``N`` worker processes (the report bytes do not depend on N).
+
+Mode combinations that cannot compose (see
+:func:`repro.sim.runner.mode_refusal`) print one ``error:`` line and exit
+2 before anything runs.
 """
 
 from __future__ import annotations
@@ -50,12 +55,13 @@ from repro.obs import (
     Journal,
     MetricsRegistry,
     Tracer,
+    get_registry,
     get_tracer,
     set_journal,
     set_registry,
     set_tracer,
 )
-from repro.sim import ScenarioConfig, run_scenario
+from repro.sim import ScenarioConfig, mode_refusal, run_scenario
 
 #: --journal without a path appends here.
 DEFAULT_JOURNAL_PATH = "journal.jsonl"
@@ -69,7 +75,7 @@ DEFAULT_CHECKPOINT_DIR = ".checkpoints"
 #: --spill without a directory uses this.
 DEFAULT_SPILL_DIR = ".spill"
 
-#: --observe / the observe subcommand write observer day files here.
+#: The observe subcommand writes observer day files here.
 DEFAULT_OBSERVE_DIR = "data"
 
 
@@ -117,20 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="DIR",
                        help="load/store the scenario result via the on-disk "
                             f"cache in DIR (default {DEFAULT_CACHE_DIR})")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore any configured cache and simulate")
         p.add_argument("--checkpoint", nargs="?",
                        const=DEFAULT_CHECKPOINT_DIR, default=None,
                        metavar="DIR",
                        help="save a resumable checkpoint every "
                             "--checkpoint-every days into DIR (default "
-                            f"{DEFAULT_CHECKPOINT_DIR})")
+                            f"{DEFAULT_CHECKPOINT_DIR}); a re-run resumes "
+                            "from it")
         p.add_argument("--checkpoint-every", type=int, default=10,
                        metavar="DAYS",
                        help="checkpoint cadence in days (default 10)")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from the last usable checkpoint in "
-                            "the --checkpoint directory")
 
     run_p = sub.add_parser("run", help="run the scenario, print headlines")
     run_p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -142,11 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "memory holds one day, not the horizon; prints "
                             "a streaming scan summary instead of the "
                             "record-driven tables")
-    run_p.add_argument("--observe", nargs="?", const=DEFAULT_OBSERVE_DIR,
-                       default=None, metavar="DIR",
-                       help="with --stream: emit one schema-versioned "
-                            "observer JSON per simulated day into DIR "
-                            f"(default {DEFAULT_OBSERVE_DIR})")
     run_p.add_argument("--spill", nargs="?", const=DEFAULT_SPILL_DIR,
                        default=None, metavar="DIR",
                        help="bound capture memory by sealing buffered "
@@ -233,57 +230,28 @@ def _config(args) -> ScenarioConfig:
     )
 
 
-def _cache_dir(args):
-    return None if args.no_cache else args.cache
-
-
-def _mode_conflict(args) -> str | None:
-    """First mutually-exclusive option combination (or out-of-range
-    option value) as a one-line message, or None when the requested mode
-    set is coherent.
-
-    Centralising the refusals keeps every combination to the same
-    contract: one ``error:`` line on stderr, exit status 2, no traceback.
-    """
-    observe_run = args.command == "observe" and not args.summary_only
-    stream = getattr(args, "stream", False) or observe_run
-    observe = getattr(args, "observe", None)
-    spill = getattr(args, "spill", None)
-    if stream and _cache_dir(args) is not None:
-        return ("--stream is incompatible with --cache (streaming runs "
-                "produce no record bundle to cache)")
-    if observe is not None and not stream:
-        return ("--observe requires --stream (observer records are "
-                "derived from the streaming day drain)")
-    if spill is not None and stream:
-        return ("--spill is incompatible with --stream (a streaming run "
-                "already releases each day's packets)")
-    if spill is not None and args.checkpoint:
-        return ("--spill is incompatible with --checkpoint (spilled "
-                "segments are not captured by checkpoints)")
-    if args.resume and not args.checkpoint:
-        return "--resume requires --checkpoint (nothing to resume from)"
+def _modes(args) -> dict:
+    """The ``run_scenario`` mode arguments this command line asks for."""
     budget_mb = getattr(args, "spill_budget_mb", None)
-    if budget_mb is not None and budget_mb <= 0:
-        return f"--spill-budget-mb must be positive, got {budget_mb}"
-    return None
+    observe_run = args.command == "observe" and not args.summary_only
+    return dict(
+        cache_dir=args.cache,
+        checkpoint_dir=args.checkpoint,
+        stream_analysis=getattr(args, "stream", False),
+        observe_dir=args.data if observe_run else None,
+        spill_dir=getattr(args, "spill", None),
+        spill_budget_bytes=(budget_mb * 1024 * 1024
+                            if budget_mb is not None else None),
+    )
 
 
 def _scenario(args) -> object:
     print(f"running scenario: {args.days} days, scale {args.scale}, "
           f"seed {args.seed} ...", file=sys.stderr)
-    budget_mb = getattr(args, "spill_budget_mb", None)
     return run_scenario(
-        _config(args), cache_dir=_cache_dir(args),
-        jobs=getattr(args, "jobs", 1) if args.command == "run" else 1,
-        checkpoint_dir=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        stream_analysis=getattr(args, "stream", False),
-        observe_dir=getattr(args, "observe", None),
-        spill_dir=getattr(args, "spill", None),
-        spill_budget_bytes=(budget_mb * 1024 * 1024
-                            if budget_mb is not None else None),
+        _config(args),
+        jobs=args.jobs if args.command != "experiment" else 1,
+        checkpoint_every=args.checkpoint_every, **_modes(args),
     )
 
 
@@ -313,14 +281,7 @@ def _observe(args) -> int:
     from repro.observatory import DriftReport, list_day_files
 
     if not args.summary_only:
-        result = run_scenario(
-            _config(args), jobs=args.jobs,
-            checkpoint_dir=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            stream_analysis=True, observe_dir=args.data,
-        )
-        summary = result.observatory
+        summary = _scenario(args).observatory
         print(f"observatory: {summary['days']} day files, "
               f"{summary['records']} telescope records in {args.data}",
               file=sys.stderr)
@@ -335,6 +296,39 @@ def _observe(args) -> int:
             json.dump(report.to_json(), stream, indent=2, sort_keys=True)
             stream.write("\n")
         print(f"drift report written to {args.json}", file=sys.stderr)
+    return 0
+
+
+def _run(args) -> int:
+    """The ``run`` subcommand: the scenario, then its headline tables (or
+    the streaming scan summary under ``--stream``)."""
+    result = _scenario(args)
+    if args.stream:
+        print()
+        print(_render_stream_summary(result))
+        return 0
+    registry = get_registry()
+    for key in ("table1", "table3", "fig5", "fig9", "table4"):
+        fn, _ = EXPERIMENTS[key]
+        print()
+        with get_tracer().span(f"experiment.{key}"), \
+                registry.timer(f"experiment.{key}"):
+            rendered = fn(result).render()
+        print(rendered)
+    return 0
+
+
+def _experiment(args, ids) -> int:
+    """The ``experiment`` subcommand: render the resolved ids, running the
+    scenario first when any of them needs it."""
+    from repro.exec import partition_ids, run_experiments
+
+    result = None
+    if partition_ids(ids)[1]:
+        result = _scenario(args)
+    print(run_experiments(
+        ids=ids, jobs=args.jobs, output_path=args.output, result=result,
+    ))
     return 0
 
 
@@ -438,10 +432,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _serve(args)
 
-    conflict = _mode_conflict(args)
-    if conflict is not None:
-        print(f"error: {conflict}", file=sys.stderr)
+    refusal = mode_refusal(**_modes(args))
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
+    ids = None
+    if args.command == "experiment":
+        from repro.exec import UnknownExperimentError, resolve_ids
+
+        try:
+            ids = resolve_ids(args.ids)
+        except UnknownExperimentError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
     # Install the observability layers before the scenario is built:
     # components bind their counters at construction time (tracer and
@@ -456,67 +459,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "observe":
             code = _observe(args)
-            if registry:
-                _emit_metrics(registry, args.metrics)
-            if tracer:
-                _emit_trace(tracer, args.trace)
-            return code
-
-        if args.command == "run":
-            result = _scenario(args)
-            if args.stream:
-                print()
-                print(_render_stream_summary(result))
-                if result.observatory is not None:
-                    summary = result.observatory
-                    print(f"observatory: {summary['days']} day files, "
-                          f"{summary['records']} telescope records in "
-                          f"{summary['directory']}", file=sys.stderr)
-                if registry:
-                    _emit_metrics(registry, args.metrics)
-                if tracer:
-                    _emit_trace(tracer, args.trace)
-                return 0
-            for key in ("table1", "table3", "fig5", "fig9", "table4"):
-                fn, _ = EXPERIMENTS[key]
-                print()
-                with get_tracer().span(f"experiment.{key}"):
-                    if registry:
-                        with registry.timer(f"experiment.{key}"):
-                            rendered = fn(result).render()
-                    else:
-                        rendered = fn(result).render()
-                print(rendered)
-            if registry:
-                _emit_metrics(registry, args.metrics)
-            if tracer:
-                _emit_trace(tracer, args.trace)
-            return 0
-
-        # experiment
-        from repro.exec import (
-            UnknownExperimentError,
-            partition_ids,
-            resolve_ids,
-            run_experiments,
-        )
-
-        try:
-            ids = resolve_ids(args.ids)
-        except UnknownExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        result = None
-        if partition_ids(ids)[1]:
-            result = _scenario(args)
-        print(run_experiments(
-            ids=ids, jobs=args.jobs, output_path=args.output, result=result,
-        ))
+        elif args.command == "run":
+            code = _run(args)
+        else:
+            code = _experiment(args, ids)
         if registry:
             _emit_metrics(registry, args.metrics)
         if tracer:
             _emit_trace(tracer, args.trace)
-        return 0
+        return code
     finally:
         if registry:
             set_registry(prev_registry)

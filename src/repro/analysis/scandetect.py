@@ -261,10 +261,6 @@ class SessionTracker:
     def events_closed(self) -> int:
         return len(self._events)
 
-    def carry_bytes(self) -> int:
-        """Approximate size of the open-session target payload."""
-        return sum(hi.nbytes + lo.nbytes for hi, lo in self._targets)
-
     # -- internals --------------------------------------------------------
 
     def _source_of(self, key) -> int:

@@ -2,8 +2,7 @@
 
 ``PacketCapturer`` is the telescope's packet-capture stage: it appends each
 packet's analysis-relevant fields to growing column buffers (timestamps,
-src/dst split into uint64 halves, protocol, ports) and can simultaneously
-mirror full packets to a capture file.  The columnar fast path,
+src/dst split into uint64 halves, protocol, ports).  The columnar fast path,
 :meth:`PacketCapturer.capture_batch`, appends whole numpy chunks instead of
 scalar fields.  ``to_records()`` freezes both — chunks and scalar tails, in
 arrival order — into :class:`repro.analysis.records.PacketRecords`.
@@ -38,7 +37,6 @@ import numpy as np
 from repro._util import sha256_file
 from repro.net.batch import PacketBatch, WireBatch
 from repro.net.packet import Packet
-from repro.net.pcapstore import PacketWriter
 from repro.obs import get_registry
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -178,10 +176,9 @@ class ChunkSpill:
 
 
 class PacketCapturer:
-    """Columnar packet capture with optional file mirroring and spill."""
+    """Columnar packet capture with optional spill."""
 
-    def __init__(self, name: str = "capture",
-                 mirror_path: str | os.PathLike | None = None):
+    def __init__(self, name: str = "capture"):
         self.name = name
         #: Frozen numpy chunks (from ``capture_batch`` and scalar flushes),
         #: in arrival order.
@@ -197,7 +194,6 @@ class PacketCapturer:
         self._proto: list[int] = []
         self._sport: list[int] = []
         self._dport: list[int] = []
-        self._writer = PacketWriter(mirror_path) if mirror_path else None
         #: The last freeze's records: ``to_records`` consumes the chunk
         #: buffer (releasing per-chunk references), so repeated freezes
         #: serve — and later captures extend — this cached prefix.
@@ -263,8 +259,6 @@ class PacketCapturer:
         self._proto.append(pkt.proto)
         self._sport.append(pkt.sport)
         self._dport.append(pkt.dport)
-        if self._writer is not None:
-            self._writer.write(pkt)
 
     def _flush_scalars(self) -> None:
         """Freeze any scalar tail into a chunk so ordering is preserved
@@ -302,11 +296,6 @@ class PacketCapturer:
         self._chunks.append(analysis)
         self._buffered_bytes += _batch_nbytes(analysis)
         self._maybe_spill()
-        if self._writer is not None:
-            # Mirroring is inherently per-packet; materialize (slow path,
-            # only paid when a capture file was requested).
-            for pkt in batch.iter_packets():
-                self._writer.write(pkt)
 
     # -- chunk transfer (checkpoint capture + restore) ----------------------
 
@@ -358,11 +347,6 @@ class PacketCapturer:
         if self._truth_spill is not None and self._truth_spill.rows:
             chunks = list(self._truth_spill.iter_batches()) + chunks
         return GroundTruthRecords.from_batches(chunks)
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
 
     def _consume_chunks(self):
         """Yield every analysis batch in arrival order — spilled segments

@@ -14,7 +14,7 @@ data-parallel + artifact-cache tier:
   sharding (``python -m repro run --jobs N``);
 * the checkpoint layer in :mod:`repro.exec.freeze` —
   :func:`save_checkpoint`/:func:`load_checkpoint`, resumable engine-state
-  snapshots at day boundaries (``--checkpoint``/``--resume``).
+  snapshots at day boundaries (``--checkpoint``).
 
 All three uphold one determinism contract: output bytes depend only on the
 configuration (seeds included), never on ``jobs``, worker identity, or

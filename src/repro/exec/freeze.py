@@ -105,9 +105,15 @@ def freeze_result(result):
 # ``PaperScenario.replay_day`` — so the live state after restore is
 # bit-for-bit what an uninterrupted run would hold at the same day
 # boundary.
+#
+# Checkpoint files are keyed by config hash *and* run mode, so a run
+# only ever finds checkpoints of its own mode: a batch checkpoint carries
+# chunks a streaming run would never analyze, a streaming one carries
+# analyzer state a batch run would drop, and only an observe run keeps
+# the observer cursor.  A checkpoint of another mode is just absent.
 
 #: Bump when the checkpoint layout changes; mismatched files are ignored
-#: (the resume falls back to a fresh run rather than crashing).
+#: (the run starts at day 0 rather than crashing).
 #: 2: added ``streaming`` (open analyzer state for ``stream_analysis``).
 #: 3: added ``observatory`` (observer cursor for ``observe_dir`` runs).
 #: 4: added ``honeypots`` (session table, NAT logs, reply counts).
@@ -116,7 +122,11 @@ CHECKPOINT_PROTOCOL = 4
 
 @dataclass
 class ScenarioCheckpoint:
-    """Resumable state of a partially run scenario, at a day boundary."""
+    """Resumable state of a partially run scenario, at a day boundary.
+
+    ``run_scenario(checkpoint_dir=...)`` writes one every cadence day,
+    resumes from a usable one on its own, and deletes it when the run
+    completes."""
 
     protocol: int
     repro_version: str
@@ -136,22 +146,23 @@ class ScenarioCheckpoint:
     honeypots: dict
     #: ``stream_analysis`` runs only: telescope name ->
     #: :class:`~repro.analysis.streaming.StreamAnalyzer` mid-run (open
-    #: sessions, closed events, flow state).  None for batch runs — a
-    #: checkpoint can only resume into the mode that wrote it.
+    #: sessions, closed events, flow state).  None for batch runs.
     streaming: dict | None = None
     #: ``observe_dir`` runs only: the
     #: :class:`~repro.observatory.observer.ObservatoryState` cursor
     #: (seen-source sets, cumulative event counts, honeyprefix first
-    #: contacts) at the boundary.  Same mode-pairing rule as streaming.
+    #: contacts) at the boundary.
     observatory: object | None = None
 
 
-def checkpoint_path(directory, config) -> Path:
-    """Where ``config``'s checkpoint lives: one file per config hash, so
-    concurrent runs of different configs never clobber each other."""
+def checkpoint_path(directory, config, mode: str) -> Path:
+    """Where ``config``'s checkpoint for one run mode (``"batch"``,
+    ``"stream"`` or ``"observe"``) lives: one file per config hash and
+    mode, so concurrent runs of different configs or modes never clobber
+    each other, and no run resumes another mode's checkpoint."""
     from repro.obs import config_hash
 
-    return Path(directory) / f"{config_hash(config)}.ckpt"
+    return Path(directory) / f"{config_hash(config)}-{mode}.ckpt"
 
 
 def capture_checkpoint(scenario, next_day: int, journal_records,
@@ -181,10 +192,10 @@ def capture_checkpoint(scenario, next_day: int, journal_records,
 
 
 def save_checkpoint(directory, checkpoint: ScenarioCheckpoint,
-                    config) -> Path:
+                    config, mode: str) -> Path:
     """Atomically persist a checkpoint (write-then-rename, so a process
     killed mid-write can never corrupt the previous good checkpoint)."""
-    path = checkpoint_path(directory, config)
+    path = checkpoint_path(directory, config, mode)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".ckpt.tmp")
     with open(tmp, "wb") as stream:
@@ -193,17 +204,20 @@ def save_checkpoint(directory, checkpoint: ScenarioCheckpoint,
     return path
 
 
-def load_checkpoint(directory, config) -> ScenarioCheckpoint | None:
-    """Load ``config``'s checkpoint, or None when no usable one exists.
+def load_checkpoint(directory, config,
+                    mode: str) -> ScenarioCheckpoint | None:
+    """Load ``config``'s checkpoint for ``mode``, or None when no usable
+    one exists.
 
     Missing, torn, stale-version, or wrong-protocol files all return
-    None — a resume then simply starts from day zero, which is always
-    correct, just slower.
+    None — the run then simply starts from day zero, which is always
+    correct, just slower.  So does a checkpoint written in another mode:
+    its file name differs.
     """
     from repro import __version__
     from repro.obs import config_hash
 
-    path = checkpoint_path(directory, config)
+    path = checkpoint_path(directory, config, mode)
     if not path.exists():
         return None
     try:

@@ -217,8 +217,8 @@ class ShardPool:
 
 
 def merge_day(scenario, journal, day: int, parent_records,
-              worker_payloads) -> int:
-    """Merge one day's shard outputs into the parent; returns emitted.
+              worker_payloads) -> None:
+    """Merge one day's shard outputs into the parent.
 
     Reconstructs the serial journal order (engine phase sort-merged on
     ``(event ordinal, agent, emission order)``, then poll records in
@@ -253,7 +253,6 @@ def merge_day(scenario, journal, day: int, parent_records,
         batch = batch.select(np.argsort(batch.origin, kind="stable"))
     scenario.dispatch_batch(batch)
     journal.emit("day", day=day, emitted=len(batch))
-    return len(batch)
 
 
 def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
@@ -263,7 +262,7 @@ def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
     Workers emit a window while the parent merges the previous one: for
     each day, the parent advances its own engine (buffering its
     deploy/retract records with event ordinals), then merges and
-    dispatches the workers' rows.  ``on_day_end(day, emitted)`` runs
+    dispatches the workers' rows.  ``on_day_end(day)`` runs
     after each day's merge, when the parent capturers, counters and
     honeypots hold exactly the state a serial run has after that day.
 
@@ -293,9 +292,9 @@ def run_sharded_days(scenario, pool: ShardPool, *, start_day: int,
             with use_journal(buffer):
                 scenario.begin_day(day)
             scenario._last_poll = (day + 1) * DAY
-            emitted = merge_day(
+            merge_day(
                 scenario, journal, day, buffer.records,
                 [per_worker[offset] for per_worker in worker_days],
             )
-            on_day_end(day, emitted)
+            on_day_end(day)
         window_start = window_end

@@ -7,9 +7,9 @@ observer`), an append-only long-horizon index (:mod:`~repro.observatory.
 index`), and drift/changepoint summaries over the resulting daily series
 (:mod:`~repro.observatory.drift`, reusing the BSTM causal-impact engine).
 
-Entry points: ``run_scenario(..., stream_analysis=True, observe_dir=...)``,
-CLI ``python -m repro observe`` / ``repro run --stream --observe``, and the
-service's ``GET /observatory`` SSE endpoint.
+Entry points: ``run_scenario(..., observe_dir=...)`` (which always
+streams), CLI ``python -m repro observe``, and the service's
+``GET /observatory`` SSE endpoint.
 """
 
 from repro.observatory.drift import Changepoint, DriftReport, SeriesDrift

@@ -559,13 +559,6 @@ class HitlistConsumer(Strategy):
         HitlistCategory.UDP53: (UDP, 53),
     }
 
-    @classmethod
-    def _target_for(cls, entry) -> ProbeTarget | None:
-        probe = cls._CATEGORY_PROBES.get(entry.category)
-        if probe is None:
-            return None
-        return ProbeTarget(entry.address, probe[0], probe[1])
-
     def _rebuild_targets(self, at: float) -> list[ProbeTarget]:
         """Build the weighted target list from the current hitlist snapshot.
 

@@ -41,8 +41,8 @@ never lose its artifacts to the sweep that its own store triggered.
 Shutdown: ``close(drain=True)`` stops admitting, then waits for in-flight
 runs to finish.  ``close(drain=False)`` abandons queued work; runs
 launched with a ``checkpoint_dir`` have their cadence checkpoints on
-disk, so a later service picks them up with ``resume`` semantics instead
-of recomputing from day zero.
+disk, so a later service's run of the same config resumes from them
+instead of recomputing from day zero.
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
     Module-level and picklable.  Installs a fresh registry and a
     line-buffered journal (the parent tails the file while this runs),
     then runs the scenario through the shared cache so the result lands
-    as a verified entry.  ``resume=True`` whenever checkpointing is on:
-    a worker re-dispatched after a crash fast-forwards from the last
-    cadence checkpoint and replays the journal history, keeping the
-    progress stream byte-compatible with an uninterrupted run.
+    as a verified entry.  With checkpointing on, a worker re-dispatched
+    after a crash fast-forwards from the last cadence checkpoint and
+    replays the journal history, keeping the progress stream
+    byte-compatible with an uninterrupted run.
     """
     from repro.sim.runner import run_scenario
 
@@ -154,7 +154,6 @@ def _execute_run(config_fields: dict, cache_dir: str, journal_path: str,
                 config, cache_dir=cache_dir,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
-                resume=checkpoint_dir is not None,
             )
         return {
             "telemetry": registry.snapshot(),
@@ -356,31 +355,6 @@ class ScenarioService:
         if name != "manifest.json" and name not in manifest.get("files", {}):
             raise UnknownRun(f"{run_id} has no artifact {name!r}")
         return entry / name
-
-    # -- progress ----------------------------------------------------------
-
-    def progress_records(self, run_id: str, *, follow: bool = True,
-                         poll_interval: float = 0.05,
-                         timeout: float | None = None):
-        """Yield the run's journal records (tailing while it runs).
-
-        The stream ends when the run reaches a terminal state and the
-        file is fully drained (``cache_store`` trails ``run_end``, so the
-        stream must not stop at ``run_end`` itself), or at ``timeout``.
-        A torn final line (worker killed mid-write) is never yielded; a
-        worker re-dispatched with checkpoint resume rewrites the journal
-        with its full history and the tail restarts from the top,
-        byte-compatibly.
-        """
-        from repro.obs import tail_journal
-
-        run = self.get(run_id)
-        if run.journal_path is None:
-            return iter(())
-        return tail_journal(
-            run.journal_path, follow=follow, poll_interval=poll_interval,
-            timeout=timeout, stop=run.done_event.is_set, end_types=(),
-        )
 
     # -- observatory -------------------------------------------------------
 

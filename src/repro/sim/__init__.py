@@ -7,7 +7,12 @@ from repro.sim.engine import Engine, Event
 from repro.sim.fabric import InternetFabric
 from repro.sim.cdn import CdnVantage, CdnScannerSpec
 from repro.sim.scenario import PaperScenario, ScenarioConfig
-from repro.sim.runner import ScenarioResult, SimulationAborted, run_scenario
+from repro.sim.runner import (
+    ScenarioResult,
+    SimulationAborted,
+    mode_refusal,
+    run_scenario,
+)
 
 __all__ = [
     "Engine",
@@ -19,5 +24,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "SimulationAborted",
+    "mode_refusal",
     "run_scenario",
 ]

@@ -11,7 +11,6 @@ from repro._util import DAY
 from repro.analysis.asinfo import MetadataJoiner
 from repro.analysis.records import PacketRecords
 from repro.core.honeyprefix import Honeyprefix
-from repro.net.addr import IPv6Prefix
 from repro.obs import (
     RecordingJournal,
     RunManifest,
@@ -142,27 +141,44 @@ class ScenarioResult:
     def telescopes(self) -> dict[str, PacketRecords]:
         return {"NT-A": self.nta, "NT-B": self.ntb, "NT-C": self.ntc}
 
-    def truth_combined(self):
-        """All telescopes' ground-truth sidecars as one table."""
-        from repro.analysis.groundtruth import GroundTruthRecords
-
-        return GroundTruthRecords.concat(list(self.truth.values()))
-
 
 #: Checkpoints (and the sharded path's day windows) land every this many
 #: days unless overridden.
 DEFAULT_CHECKPOINT_EVERY = 10
 
 
+def mode_refusal(*, stream_analysis: bool = False, observe_dir=None,
+                 cache_dir=None, checkpoint_dir=None, spill_dir=None,
+                 spill_budget_bytes: int | None = None) -> str | None:
+    """The first incompatible run-mode combination as a one-line
+    message, or None when the modes compose.
+
+    The one refusal list: :func:`run_scenario` raises the message as a
+    ``ValueError`` before anything is built, and the CLI prints it as one
+    ``error:`` line and exits 2.  An ``observe_dir`` run streams.
+    """
+    stream = stream_analysis or observe_dir is not None
+    if stream and cache_dir is not None:
+        return ("streaming is incompatible with the cache (a streaming run "
+                "produces no record bundle to cache)")
+    if spill_dir is not None and stream:
+        return ("spill is incompatible with streaming (a streaming run "
+                "already releases each day's packets)")
+    if spill_dir is not None and checkpoint_dir is not None:
+        return ("spill is incompatible with checkpointing (spilled "
+                "segments are not captured by checkpoints)")
+    if spill_budget_bytes is not None and spill_budget_bytes <= 0:
+        return f"spill budget must be positive, got {spill_budget_bytes} bytes"
+    return None
+
+
 def run_scenario(
     config: ScenarioConfig | None = None,
-    progress: bool = False,
-    cache_dir=None,
     *,
+    cache_dir=None,
     jobs: int = 1,
     checkpoint_dir=None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = False,
     abort_after_day: int | None = None,
     stream_analysis: bool = False,
     observe_dir=None,
@@ -194,11 +210,16 @@ def run_scenario(
       processes (:mod:`repro.exec.shard`), in day windows that end on
       multiples of ``checkpoint_every``.
     * ``checkpoint_dir`` saves a resumable engine-state checkpoint every
-      ``checkpoint_every`` days; with ``resume=True`` a usable checkpoint
-      is loaded, the covered days are fast-forwarded without re-emitting
-      a single packet, and the journal records emitted before the
-      checkpoint are replayed verbatim into the active journal.  The
-      cadence may differ between the killed and the resumed run.
+      ``checkpoint_every`` days, one file per config and run mode (batch,
+      stream or observe).  A usable checkpoint for this run's config and
+      mode is always resumed: the covered days are fast-forwarded without
+      re-emitting a single packet, and the journal records emitted before
+      the checkpoint are replayed verbatim into the active journal.  The
+      cadence may differ between the killed and the resumed run.  An
+      unusable checkpoint (another package version, torn, or an observe
+      run whose directory lacks a day file below the boundary) starts the
+      run at day 0.  A completed run deletes its checkpoint, so one on
+      disk always means an unfinished run.
     * ``abort_after_day=N`` raises :class:`SimulationAborted` once day N
       has completed and its per-day sinks (stream feed, observatory,
       checkpoint) have run, in either mode — the test hook for
@@ -215,80 +236,55 @@ def run_scenario(
       summaries whose events are element-identical to running
       ``detect_scans`` over the batch records; the record columns come
       back empty.  Composes with ``jobs`` and ``checkpoint_dir`` (open
-      analyzer state rides in the checkpoint); incompatible with
-      ``cache_dir`` (the cache stores record bundles).
+      analyzer state rides in the checkpoint).
     * ``spill_dir`` keeps the *batch* path's captures bounded instead:
       buffered chunks past ``spill_budget_bytes`` are sealed to
       checksummed npz segments and streamed back at freeze time.
-      Incompatible with ``checkpoint_dir`` (checkpoints snapshot
-      in-memory chunks) and redundant under ``stream_analysis`` (the
-      day-drain already bounds the buffer), so both pairings are errors.
 
-    ``observe_dir`` turns a streaming run into the longitudinal
-    observatory (:mod:`repro.observatory`): one validated, bit-
-    reproducible observer JSON record per simulated day (scan-event
+    ``observe_dir`` turns the run into the longitudinal observatory
+    (:mod:`repro.observatory`), which always streams: one validated,
+    bit-reproducible observer JSON record per simulated day (scan-event
     rates, new-source discovery, tactic mix, honeyprefix reaction
     latency) written into the directory, mirrored to
-    ``observations.jsonl``, and indexed at the end.  Requires
-    ``stream_analysis=True``; composes with ``jobs`` and
-    ``checkpoint_dir`` (the observer cursor rides in the checkpoint).
+    ``observations.jsonl``, and indexed at the end.  Composes with
+    ``jobs`` and ``checkpoint_dir`` (the observer cursor rides in the
+    checkpoint).
+
+    Combinations :func:`mode_refusal` names raise ``ValueError`` before
+    anything is built.
     """
     config = config if config is not None else ScenarioConfig()
-    if observe_dir is not None and not stream_analysis:
-        raise ValueError(
-            "observe_dir requires stream_analysis=True: observer records "
-            "are derived from the streaming day drain")
-    if stream_analysis and cache_dir is not None:
-        raise ValueError(
-            "stream_analysis runs produce no record bundle to cache; "
-            "drop cache_dir or stream_analysis")
-    if spill_dir is not None and checkpoint_dir is not None:
-        raise ValueError(
-            "capture spill and checkpointing are mutually exclusive: "
-            "a checkpoint snapshots in-memory chunks only")
-    if spill_dir is not None and stream_analysis:
-        raise ValueError(
-            "stream_analysis already bounds capture memory by draining "
-            "each day; spill_dir would hide chunks from the day drain")
+    stream_analysis = stream_analysis or observe_dir is not None
+    refusal = mode_refusal(
+        stream_analysis=stream_analysis, cache_dir=cache_dir,
+        checkpoint_dir=checkpoint_dir, spill_dir=spill_dir,
+        spill_budget_bytes=spill_budget_bytes)
+    if refusal is not None:
+        raise ValueError(refusal)
     registry = get_registry()
     tracer = get_tracer()
 
+    mode = ("observe" if observe_dir is not None
+            else "stream" if stream_analysis else "batch")
     checkpoint = None
-    if resume and checkpoint_dir is not None:
+    if checkpoint_dir is not None:
         from repro.exec.freeze import load_checkpoint
 
-        checkpoint = load_checkpoint(checkpoint_dir, config)
-        if checkpoint is not None:
-            # A checkpoint can only resume into the mode that wrote it:
-            # batch checkpoints carry chunks the streaming path would
-            # never analyze, streaming ones carry analyzer state the
-            # batch path would silently drop.
-            if stream_analysis and checkpoint.streaming is None:
-                raise ValueError(
-                    "cannot resume a batch-mode checkpoint with "
-                    "stream_analysis=True")
-            if not stream_analysis and checkpoint.streaming is not None:
-                raise ValueError(
-                    "cannot resume a stream_analysis checkpoint without "
-                    "stream_analysis=True")
-            # Same pairing rule for the observatory cursor: its seen-source
-            # sets and event counters only mean anything to a run that
-            # keeps observing, and a run that observes cannot start from a
-            # checkpoint that never tracked them.
-            if observe_dir is not None and checkpoint.observatory is None:
-                raise ValueError(
-                    "cannot resume a non-observatory checkpoint with "
-                    "observe_dir set")
-            if observe_dir is None and checkpoint.observatory is not None:
-                raise ValueError(
-                    "cannot resume an observatory checkpoint without "
-                    "observe_dir")
+        checkpoint = load_checkpoint(checkpoint_dir, config, mode)
+        if checkpoint is not None and observe_dir is not None:
+            from repro.observatory import day_file_path
+
+            # The observatory rebuilds observations.jsonl from the day
+            # files below the boundary; without all of them, start over.
+            if not all(day_file_path(observe_dir, day).is_file()
+                       for day in range(checkpoint.next_day)):
+                checkpoint = None
 
     streams = None
     if stream_analysis:
         from repro.analysis.streaming import StreamAnalyzer
 
-        if checkpoint is not None and checkpoint.streaming is not None:
+        if checkpoint is not None:
             streams = checkpoint.streaming
         else:
             streams = {name: StreamAnalyzer(name)
@@ -344,8 +340,8 @@ def run_scenario(
         with tracer.span("run_scenario", days=config.duration_days,
                          seed=config.seed):
             scenario = _simulate(
-                config, checkpoint, start_day, progress=progress, jobs=jobs,
-                checkpoint_dir=checkpoint_dir,
+                config, checkpoint, start_day, jobs=jobs,
+                checkpoint_dir=checkpoint_dir, mode=mode,
                 checkpoint_every=checkpoint_every,
                 abort_after_day=abort_after_day, streams=streams,
                 observatory=observatory,
@@ -384,6 +380,11 @@ def run_scenario(
         )
         if cache is not None:
             cache.store(result)
+        if checkpoint_dir is not None:
+            from repro.exec.freeze import checkpoint_path
+
+            checkpoint_path(checkpoint_dir, config, mode).unlink(
+                missing_ok=True)
         return result
     finally:
         # An aborted observatory run releases its stream handle without
@@ -425,8 +426,8 @@ def _feed_streams(scenario, streams, journal, day: int,
         observatory.observe_day(day, scenario, streams, drained)
 
 
-def _simulate(config, checkpoint, start_day, *, progress, jobs,
-              checkpoint_dir, checkpoint_every, abort_after_day,
+def _simulate(config, checkpoint, start_day, *, jobs,
+              checkpoint_dir, mode, checkpoint_every, abort_after_day,
               streams=None, observatory=None, spill_dir=None,
               spill_budget_bytes=None):
     """Build (or rebuild-and-fast-forward) the scenario and run its days,
@@ -470,16 +471,12 @@ def _simulate(config, checkpoint, start_day, *, progress, jobs,
                         cap.enable_spill(spill_dir)
         sample_peak_rss(registry, stage="build")
 
-        def end_day(day: int, emitted: int) -> None:
-            """The per-day sinks, in order: progress line, stream feed
-            (plus observatory), cadence checkpoint, abort hook.  The
+        def end_day(day: int) -> None:
+            """The per-day sinks, in order: stream feed (plus
+            observatory), cadence checkpoint, abort hook.  The
             ``checkpoint`` record goes out *before* the file is written
             so the checkpoint carries its own record and a resumed
             journal replays it in place."""
-            if progress and day % 10 == 0:
-                counters = scenario.counters
-                print(f"day {day}: {emitted} packets "
-                      f"(NT-A {counters.nta}, NT-C {counters.ntc})")
             if streams is not None:
                 _feed_streams(scenario, streams, journal, day,
                               observatory=observatory)
@@ -499,7 +496,7 @@ def _simulate(config, checkpoint, start_day, *, progress, jobs,
                         streaming=streams,
                         observatory=(observatory.checkpoint_state()
                                      if observatory is not None else None)),
-                    config,
+                    config, mode,
                 )
             if abort_after_day is not None and day >= abort_after_day:
                 raise SimulationAborted(f"aborted after day {day}")
@@ -508,7 +505,8 @@ def _simulate(config, checkpoint, start_day, *, progress, jobs,
                 tracer.span("scenario.run", jobs=jobs):
             if pool is None:
                 for day in range(start_day, duration):
-                    end_day(day, scenario.run_day(day))
+                    scenario.run_day(day)
+                    end_day(day)
             else:
                 from repro.exec.shard import run_sharded_days
 

@@ -20,9 +20,8 @@ OBS_CONFIG = ScenarioConfig(seed=19, duration_days=DAYS, volume_scale=1e-4,
 
 
 def run_observatory(directory, **kwargs):
-    """One streaming observatory run of the shared config."""
-    return run_scenario(OBS_CONFIG, stream_analysis=True,
-                        observe_dir=directory, **kwargs)
+    """One observatory run (always streaming) of the shared config."""
+    return run_scenario(OBS_CONFIG, observe_dir=directory, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ The reproducibility contract under test: the data directory a streaming
 observatory run writes — every per-day file, the ``observations.jsonl``
 mirror, the index, the manifest — is byte-identical across serial,
 ``--jobs N``, and killed-and-resumed executions of one config.  Plus the
-mode guards: the observer only rides a streaming run, and a checkpoint
-can only resume into the observation mode that wrote it.
+guards: an observatory run always streams, a checkpoint whose day files
+are gone starts the run over, and a directory holds one config's days.
 """
 
 from pathlib import Path
@@ -49,36 +49,41 @@ class TestByteIdentity:
             stream.write(b'{"v": 1, "type": "observer", "da')
 
         result = run_observatory(data, checkpoint_dir=ckpt,
-                                 checkpoint_every=CADENCE, resume=True)
+                                 checkpoint_every=CADENCE)
         assert result.observatory["days"] == OBS_CONFIG.duration_days
         # The resume healed the torn line: every file byte-identical,
         # checkpoint sidecar aside, to the uninterrupted run's.
         assert _dir_bytes(data) == _dir_bytes(golden)
 
+    def test_checkpoint_without_days_starts_over(self, serial_observatory,
+                                                 tmp_path):
+        """A leftover checkpoint whose day files are not in the data
+        directory is unusable: the run writes every day from day 0."""
+        golden, _ = serial_observatory
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(SimulationAborted):
+            run_observatory(tmp_path / "killed", checkpoint_dir=ckpt,
+                            checkpoint_every=CADENCE,
+                            abort_after_day=ABORT_AFTER)
+        data = tmp_path / "data"
+        result = run_observatory(data, checkpoint_dir=ckpt,
+                                 checkpoint_every=CADENCE)
+        assert result.observatory["days"] == OBS_CONFIG.duration_days
+        assert _dir_bytes(data) == _dir_bytes(golden)
+        assert list(ckpt.iterdir()) == []  # completed: checkpoint deleted
+
 
 class TestModeGuards:
-    def test_observe_requires_streaming(self, tmp_path):
-        with pytest.raises(ValueError, match="requires stream_analysis"):
-            run_scenario(GUARD, observe_dir=tmp_path / "data")
-
-    def test_plain_checkpoint_cannot_resume_into_observe(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        with pytest.raises(SimulationAborted):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         checkpoint_every=2, abort_after_day=3)
-        with pytest.raises(ValueError, match="non-observatory checkpoint"):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         resume=True, observe_dir=tmp_path / "data")
-
-    def test_observatory_checkpoint_cannot_drop_observe(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        with pytest.raises(SimulationAborted):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         checkpoint_every=2, abort_after_day=3,
-                         observe_dir=tmp_path / "data")
-        with pytest.raises(ValueError, match="without[ \n]+observe_dir"):
-            run_scenario(GUARD, stream_analysis=True, checkpoint_dir=ckpt,
-                         resume=True)
+    def test_observe_implies_streaming(self, tmp_path):
+        implied = run_scenario(GUARD, observe_dir=tmp_path / "implied")
+        explicit = run_scenario(GUARD, stream_analysis=True,
+                                observe_dir=tmp_path / "explicit")
+        assert implied.streaming is not None
+        assert ({name: s.events for name, s in implied.streaming.items()}
+                == {name: s.events for name, s in explicit.streaming.items()})
+        assert implied.observatory["days"] == GUARD.duration_days
+        assert (_dir_bytes(tmp_path / "implied")
+                == _dir_bytes(tmp_path / "explicit"))
 
     def test_directory_refuses_foreign_config(self, tmp_path):
         observatory = Observatory(tmp_path / "data", GUARD)

@@ -1,21 +1,26 @@
-"""Checkpoint/resume equivalence: a run killed mid-horizon and resumed
-must be byte-identical — journal, capture records, counters, ground
-truth, honeypot state — to one that ran uninterrupted.
+"""Checkpoint/resume equivalence: a run killed mid-horizon and run again
+with the same checkpoint directory resumes on its own and must be
+byte-identical — journal, capture records, counters, ground truth,
+honeypot state — to one that ran uninterrupted.
 
 The kill is simulated with ``run_scenario(abort_after_day=...)``, which
 raises :class:`SimulationAborted` at the same point a real SIGKILL
 between day windows would land: the last cadence checkpoint is on disk,
 nothing after it is.  The uninterrupted baseline also runs *with*
-checkpointing enabled so both journals carry the same ``checkpoint``
-records.
+checkpointing enabled, in its own directory, so both journals carry the
+same ``checkpoint`` records.
+
+Checkpoints are keyed by run mode (batch, stream, observe): a run never
+resumes another mode's checkpoint, and a completed run deletes its own.
 """
 
 import io
 import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.exec.freeze import load_checkpoint
+from repro.exec.freeze import checkpoint_path, load_checkpoint
 from repro.obs import Journal, use_journal
 from repro.sim import ScenarioConfig, SimulationAborted, run_scenario
 from tests.sim.equivalence import assert_identical
@@ -55,7 +60,7 @@ class TestAbort:
     def test_abort_leaves_the_cadence_checkpoint(self, tmp_path, jobs):
         with pytest.raises(SimulationAborted):
             _run(tmp_path, jobs=jobs, abort_after_day=5)
-        checkpoint = load_checkpoint(tmp_path, _config())
+        checkpoint = load_checkpoint(tmp_path, _config(), "batch")
         assert checkpoint is not None
         # day 5 completed, so the last cadence boundary <= 6 is day 4 —
         # in both modes: a sharded run aborts mid-window, right after
@@ -65,18 +70,29 @@ class TestAbort:
         assert checkpoint.journal_records[-1][0] == "checkpoint"
 
 
-class TestResumeSerial:
-    def test_resumed_equals_uninterrupted(self, baseline, tmp_path):
+class TestKillResume:
+    @pytest.mark.parametrize("resumed_jobs", [1, 2],
+                             ids=lambda jobs: f"resumed{jobs}")
+    @pytest.mark.parametrize("killed_jobs", [1, 2],
+                             ids=lambda jobs: f"killed{jobs}")
+    def test_resumed_equals_uninterrupted(self, baseline, tmp_path,
+                                          killed_jobs, resumed_jobs):
+        """Every (killed, resumed) pair of serial and sharded runs ends
+        byte-identical to the uninterrupted run: checkpoints carry no
+        execution-mode state."""
         base_result, base_journal = baseline
         with pytest.raises(SimulationAborted):
-            _run(tmp_path, abort_after_day=5)
-        resumed, journal = _run(tmp_path, resume=True)
+            _run(tmp_path, jobs=killed_jobs, abort_after_day=5)
+        resumed, journal = _run(tmp_path, jobs=resumed_jobs)
         assert_identical(base_result, resumed)
         assert journal == base_journal
+        assert not checkpoint_path(tmp_path, _config(), "batch").exists()
 
+
+class TestResumeSerial:
     def test_resume_without_checkpoint_runs_fresh(self, baseline, tmp_path):
         base_result, base_journal = baseline
-        result, journal = _run(tmp_path, resume=True)
+        result, journal = _run(tmp_path)
         assert_identical(base_result, result)
         assert journal == base_journal
 
@@ -90,32 +106,13 @@ class TestResumeSerial:
             with pytest.raises(SimulationAborted):
                 run_scenario(other, checkpoint_dir=tmp_path,
                              checkpoint_every=CADENCE, abort_after_day=5)
-        assert load_checkpoint(tmp_path, _config()) is None
-        result, journal = _run(tmp_path, resume=True)
+        assert load_checkpoint(tmp_path, _config(), "batch") is None
+        result, journal = _run(tmp_path)
         assert_identical(base_result, result)
         assert journal == base_journal
 
 
 class TestResumeSharded:
-    def test_sharded_abort_resume_equals_uninterrupted(self, baseline,
-                                                       tmp_path):
-        base_result, base_journal = baseline
-        with pytest.raises(SimulationAborted):
-            _run(tmp_path, jobs=2, abort_after_day=5)
-        resumed, journal = _run(tmp_path, jobs=2, resume=True)
-        assert_identical(base_result, resumed)
-        assert journal == base_journal
-
-    def test_cross_mode_resume(self, baseline, tmp_path):
-        """A checkpoint written by a sharded run resumes serially (and the
-        bytes still match): checkpoints carry no execution-mode state."""
-        base_result, base_journal = baseline
-        with pytest.raises(SimulationAborted):
-            _run(tmp_path, jobs=2, abort_after_day=5)
-        resumed, journal = _run(tmp_path, resume=True)
-        assert_identical(base_result, resumed)
-        assert journal == base_journal
-
     @pytest.mark.parametrize("killed_jobs", [1, 2])
     def test_changed_cadence_resume_matches_serial(self, tmp_path,
                                                    killed_jobs):
@@ -130,7 +127,8 @@ class TestResumeSharded:
                 run_scenario(_config(), checkpoint_dir=tmp_path / "ckpt",
                              checkpoint_every=3, abort_after_day=4,
                              jobs=killed_jobs)
-        assert load_checkpoint(tmp_path / "ckpt", _config()).next_day == 3
+        assert load_checkpoint(tmp_path / "ckpt", _config(),
+                               "batch").next_day == 3
         shutil.copytree(tmp_path / "ckpt", tmp_path / "ckpt-sharded")
         runs = []
         for directory, jobs in (("ckpt", 1), ("ckpt-sharded", 2)):
@@ -138,8 +136,88 @@ class TestResumeSharded:
             with use_journal(Journal(buffer)):
                 result = run_scenario(
                     _config(), checkpoint_dir=tmp_path / directory,
-                    checkpoint_every=2, resume=True, jobs=jobs)
+                    checkpoint_every=2, jobs=jobs)
             runs.append((result, buffer.getvalue()))
         (serial, serial_journal), (sharded, sharded_journal) = runs
         assert_identical(serial, sharded)
         assert sharded_journal == serial_journal
+
+
+def _mode_kwargs(mode: str, directory: Path) -> dict:
+    """``run_scenario`` arguments for one run mode; an observe run writes
+    its day files under ``directory``."""
+    if mode == "batch":
+        return {}
+    if mode == "stream":
+        return {"stream_analysis": True}
+    return {"observe_dir": directory / "data"}
+
+
+def _outputs(mode: str, result, directory: Path):
+    """What a run of ``mode`` produced, in comparable form."""
+    if mode == "batch":
+        return result
+    events = {name: summary.events
+              for name, summary in result.streaming.items()}
+    if mode == "stream":
+        return events
+    return events, {path.name: path.read_bytes()
+                    for path in sorted((directory / "data").iterdir())}
+
+
+def _assert_same_outputs(mode: str, a, b) -> None:
+    if mode == "batch":
+        assert_identical(a, b)
+    else:
+        assert a == b
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """mode -> (outputs, journal) of an uninterrupted checkpointed run."""
+    runs = {}
+
+    def get(mode: str):
+        if mode not in runs:
+            root = tmp_path_factory.mktemp(f"fresh-{mode}")
+            result, journal = _run(root / "ckpt",
+                                   **_mode_kwargs(mode, root))
+            runs[mode] = (_outputs(mode, result, root), journal)
+        return runs[mode]
+
+    return get
+
+
+class TestCheckpointModes:
+    PAIRS = [("stream", "batch"), ("batch", "stream"),
+             ("observe", "stream"), ("stream", "observe")]
+
+    @pytest.mark.parametrize("killed_mode,run_mode", PAIRS,
+                             ids=[f"{a}-to-{b}" for a, b in PAIRS])
+    def test_other_mode_is_ignored(self, fresh_runs, tmp_path,
+                                   killed_mode, run_mode):
+        """A run finds only its own mode's checkpoint: with another
+        mode's checkpoint in the directory it runs from day 0, equal to
+        a fresh run, and leaves the other checkpoint for its own mode."""
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(SimulationAborted):
+            _run(ckpt, abort_after_day=5,
+                 **_mode_kwargs(killed_mode, tmp_path / "killed"))
+        result, journal = _run(ckpt, **_mode_kwargs(run_mode, tmp_path))
+        fresh_outputs, fresh_journal = fresh_runs(run_mode)
+        _assert_same_outputs(run_mode, _outputs(run_mode, result, tmp_path),
+                             fresh_outputs)
+        assert journal == fresh_journal
+        assert not checkpoint_path(ckpt, _config(), run_mode).exists()
+        assert load_checkpoint(ckpt, _config(),
+                               killed_mode).next_day == CADENCE
+
+    def test_completed_run_leaves_no_checkpoint(self, tmp_path):
+        """A checkpoint on disk always means an unfinished run: a re-run
+        of a completed config is served by the cache, not resumed."""
+        cache = tmp_path / "cache"
+        _run(tmp_path / "ckpt", cache_dir=cache)
+        assert list((tmp_path / "ckpt").iterdir()) == []
+        _, journal = _run(tmp_path / "ckpt", cache_dir=cache)
+        assert '"cache_hit"' in journal
+        assert '"checkpoint"' not in journal

@@ -257,38 +257,54 @@ class TestCliListJson:
 
 
 class TestCliModeConflicts:
-    """Every mutually-exclusive mode combo (and out-of-range option
-    value): one clean error line, exit 2."""
+    """Every mode combination the runner refuses: from the CLI one clean
+    error line, exit 2, nothing run; from ``run_scenario`` a ValueError
+    with the same message, raised before anything is built."""
 
+    #: (argv, the equivalent run_scenario mode arguments; strings are
+    #: directory names under a fresh tmp dir).
     CONFLICTS = [
-        (["run", "--stream", "--cache"], "--stream is incompatible"),
-        (["run", "--observe"], "--observe requires --stream"),
-        (["run", "--spill", "--stream"], "--spill is incompatible"),
-        (["run", "--spill", "--checkpoint"], "--spill is incompatible"),
-        (["run", "--resume"], "--resume requires --checkpoint"),
-        (["experiment", "table1", "--resume"],
-         "--resume requires --checkpoint"),
-        (["observe", "--cache"], "--stream is incompatible with --cache"),
+        (["run", "--stream", "--cache"],
+         {"stream_analysis": True, "cache_dir": "cache"}),
+        (["run", "--spill", "--stream"],
+         {"stream_analysis": True, "spill_dir": "spill"}),
+        (["run", "--spill", "--checkpoint"],
+         {"spill_dir": "spill", "checkpoint_dir": "ckpt"}),
+        (["observe", "--cache"],
+         {"observe_dir": "data", "cache_dir": "cache"}),
         (["run", "--spill", "--spill-budget-mb", "0"],
-         "--spill-budget-mb must be positive"),
+         {"spill_dir": "spill", "spill_budget_bytes": 0}),
     ]
 
-    @pytest.mark.parametrize("argv,message", CONFLICTS,
+    @staticmethod
+    def _refusal(tmp_path, kwargs) -> str:
+        from repro.sim import ScenarioConfig, run_scenario
+
+        kwargs = {key: tmp_path / value if isinstance(value, str) else value
+                  for key, value in kwargs.items()}
+        with pytest.raises(ValueError) as info:
+            run_scenario(ScenarioConfig(duration_days=1, n_tail=2),
+                         **kwargs)
+        assert list(tmp_path.iterdir()) == []  # refused before building
+        return str(info.value)
+
+    @pytest.mark.parametrize("argv,kwargs", CONFLICTS,
                              ids=[" ".join(c[0]) for c in CONFLICTS])
-    def test_conflict_refused_cleanly(self, capsys, argv, message):
+    def test_conflict_refused_cleanly(self, capsys, tmp_path, argv, kwargs):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing ran
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1  # one line, no traceback
-        assert lines[0].startswith("error: ")
-        assert message in lines[0]
+        # One line, no traceback: the message run_scenario raises.
+        assert captured.err == f"error: {self._refusal(tmp_path, kwargs)}\n"
 
-    def test_stream_composes_with_no_cache(self, capsys):
-        """--no-cache defuses the --cache conflict instead of refusing."""
-        assert main(["run", "--stream", "--cache", "--no-cache",
-                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
-        assert "Streaming scan summary" in capsys.readouterr().out
+    def test_removed_flags_are_gone(self, capsys):
+        for argv in (["run", "--resume"], ["experiment", "table1", "--resume"],
+                     ["observe", "--resume"], ["run", "--no-cache"],
+                     ["run", "--stream", "--observe"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+        capsys.readouterr()
 
 
 class TestCliObserve:
@@ -319,11 +335,3 @@ class TestCliObserve:
                      "--data", str(missing)]) == 2
         err = capsys.readouterr().err.strip()
         assert err == f"error: no observer day files in {missing}"
-
-    def test_run_observe_prints_summary(self, capsys, tmp_path):
-        data = tmp_path / "data"
-        assert main(["run", "--stream", f"--observe={data}",
-                     "--days", "2", "--scale", "1e-6", "--tail", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "Streaming scan summary" in captured.out
-        assert "observatory: 2 day files" in captured.err
